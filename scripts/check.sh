@@ -35,8 +35,8 @@
 #                       plus the trace smoke re-run against the asan build
 #                       (the env-sink exit flush must be sanitizer-clean)
 #                       and an explicit re-run of the fused-parallel
-#                       schedule-independence suite (thread-scaling
-#                       byte-identity under the sanitizers)
+#                       and fused-decompress schedule-independence suites
+#                       (thread-scaling byte-identity under the sanitizers)
 #   6. tsan           — pool/codec/chunked/threading tests under
 #                       ThreadSanitizer (host-side concurrency)
 #   7. lint           — clang-tidy over src/ (.clang-tidy profile,
@@ -110,13 +110,14 @@ echo "==== trace smoke: telemetry export validates ===="
 trace_smoke build/examples/fz_cli
 # A traced bench run: every env-sink codec in regress records into one
 # trace, covering the unfused, fused-serial and fused-parallel compression
-# graphs — including the per-strip spans of the tile-parallel pass.
+# graphs and the fused decompress graph — including the per-strip spans of
+# both tile-parallel passes.
 trace_tmp=$(mktemp -d)
 FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
   --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" > /dev/null
 python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
   --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
-  prefix-sum-encode
+  prefix-sum-encode decompress fused-decode fused-decode-strip
 rm -rf "${trace_tmp}"
 
 echo "==== lint-static: fzlint (layering / lock discipline / layout / hygiene) ===="
@@ -133,6 +134,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   # sanitizers: worker counts {1,2,3,8} x dtypes x SIMD tiers must stay
   # byte-identical and fault-free.
   build-asan/tests/test_fused_parallel
+  # The fused decode's strips re-decode the tile straddling each strip
+  # edge and read the previous strip's last line: the out-of-bounds risk.
+  build-asan/tests/test_fused_decompress
   build-asan/tests/test_threading \
     --gtest_filter='Threading.SharedSinkAcrossFusedStripWorkers'
 

@@ -40,6 +40,12 @@ constexpr double kMarkOpsPerBlock = 10.0;
 constexpr double kScanOpsPerBlock = 6.0;
 constexpr double kCompactOpsPerBlock = 8.0;
 
+// fused decode into the caller's buffer (fused_decode_parallel), per
+// element beyond the scatter-decode: the running x-sum add, the three
+// strip-local Lorenzo neighbour adds (3-D), the strip carry add, and the
+// dequantize multiply.
+constexpr double kDecodeIntoOpsPerElem = 6.0;
+
 // Gap-array Huffman decode: with the K-bit lookup table one shared-memory
 // access resolves a whole code (two for codes past the primary width), so
 // a symbol costs ~8 ops — peek, table hit, length extract, bit-cursor
@@ -203,6 +209,19 @@ CostSheet fz_fused_decode_cost(const FzStats& st) {
       blocks * (kScanOpsPerBlock + kCompactOpsPerBlock) +
       w * kBitshuffleOpsPerWord + n * 2);
   c.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
+  return c;
+}
+
+CostSheet fz_fused_decode_into_cost(const FzStats& st) {
+  const u64 n = st.count;
+  CostSheet c = fz_fused_decode_cost(st);
+  c.name = "fused-decode-into";
+  // The i64 staging is written once (pass 1) and read once (the carry +
+  // dequantize write-out); the field is written once, in its own dtype.
+  c.global_bytes_read += n * sizeof(i64);
+  c.global_bytes_written += st.input_bytes;
+  c.thread_ops += static_cast<u64>(static_cast<double>(n) *
+                                   kDecodeIntoOpsPerElem);
   return c;
 }
 

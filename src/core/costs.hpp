@@ -55,6 +55,14 @@ cudasim::CostSheet fz_fused_parallel_cost(const FzStats& st, Dims dims,
 /// words and u16 codes never touch DRAM.
 cudasim::CostSheet fz_fused_decode_cost(const FzStats& st);
 
+/// Modeled host cost of the whole fused decompress pass the codec runs
+/// (fused_decode_parallel, core/kernels_decode.hpp): fz_fused_decode_cost's
+/// section reads and i64 write, plus one read of that i64 staging and one
+/// output value of the stream's dtype (st.input_bytes) per element — the
+/// inverse Lorenzo and dequantize add no further DRAM round trip.  For
+/// f32 that is 20 B/value beyond the compressed sections.
+cudasim::CostSheet fz_fused_decode_into_cost(const FzStats& st);
+
 /// Modeled cost of the segment-parallel gap-array Huffman decode
 /// (substrate/huffman.cpp, sim_huffman_decode_gap) — the
 /// codebook_build_serial_ns sibling on the decode side.  `encoded_bytes`

@@ -3,12 +3,15 @@
 #include "core/kernels_decode.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <type_traits>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/parallel.hpp"
 #include "core/bitshuffle.hpp"
 #include "core/format.hpp"
+#include "core/quantizer.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fz {
@@ -44,6 +47,228 @@ inline void unshuffle_tile(TransposeUnitFn transpose, const u32* tin,
   }
 }
 
+/// Scatter + inverse-bitshuffle tile `t` into `tile_codes` (via the
+/// `tile_shuf` staging buffer) and view the result as 2048 u16 codes,
+/// packed little-endian two per word — the codes-as-u32 layout the whole
+/// pipeline shares.
+inline const u16* decode_tile(std::span<const u32> flags32,
+                              std::span<const u32> offsets,
+                              std::span<const u32> blocks, size_t t,
+                              TransposeUnitFn transpose, u32* tile_shuf,
+                              u32* tile_codes) {
+  scatter_tile(flags32.data() + t * kBlocksPerTile,
+               offsets.data() + t * kBlocksPerTile, blocks.data(), tile_shuf);
+  unshuffle_tile(transpose, tile_shuf, tile_codes);
+  return reinterpret_cast<const u16*>(tile_codes);
+}
+
+/// Inverse Lorenzo over one run of a row: p = the running x-sum of the
+/// decoded residuals, plus p[y−1] − p[y−1,z−1] + p[z−1] for whichever of
+/// those neighbours lie inside the strip (the others count as 0).  `up`,
+/// `back` and `up_back` point at the run's neighbours in those rows;
+/// returns the running sum.
+template <bool kUp, bool kBack>
+inline i64 lorenzo_run(const u16* codes, size_t n, i64 rx, const i64* up,
+                       const i64* back, const i64* up_back, i64* p) {
+  for (size_t k = 0; k < n; ++k) {
+    rx += sign_magnitude_decode(codes[k]);
+    i64 v = rx;
+    if constexpr (kUp) v += up[k];
+    if constexpr (kBack) v += back[k];
+    if constexpr (kUp && kBack) v -= up_back[k];
+    p[k] = v;
+  }
+  return rx;
+}
+
+/// Strips of whole carry-axis lines: `lines` lines of `line` elements.
+struct CarryAxis {
+  size_t lines = 1;
+  size_t line = 1;
+
+  explicit CarryAxis(Dims dims) {
+    switch (dims.rank()) {
+      case 1:
+        lines = dims.x;
+        break;
+      case 2:
+        lines = dims.y;
+        line = dims.x;
+        break;
+      default:
+        lines = dims.z;
+        line = dims.x * dims.y;
+        break;
+    }
+  }
+  /// First line of strip s (strip s covers [first(s), first(s + 1))).
+  size_t first(size_t s, size_t strips) const { return s * lines / strips; }
+};
+
+/// Pass 1 for one strip: decode its tiles (a tile straddling a strip edge
+/// is decoded by both neighbours; each keeps only its own elements) and
+/// write the strip-local inverse Lorenzo into `pq`.
+void decode_strip_local(std::span<const u32> flags32,
+                        std::span<const u32> offsets,
+                        std::span<const u32> blocks, Dims dims, i64 anchor,
+                        size_t b, size_t e, TransposeUnitFn transpose,
+                        i64* pq) {
+  const size_t nx = dims.x;
+  const size_t plane = dims.x * dims.y;
+  // Both tile buffers stay resident in L1 across the whole strip.
+  alignas(64) u32 tile_shuf[kTileWords];
+  alignas(64) u32 tile_codes[kTileWords];
+  size_t x = b % nx;
+  size_t y = (b / nx) % dims.y;
+  size_t j = b;
+  i64 rx = 0;
+  for (size_t t = b / kCodesPerTile; j < e; ++t) {
+    const u16* codes = decode_tile(flags32, offsets, blocks, t, transpose,
+                                   tile_shuf, tile_codes);
+    const size_t base = t * kCodesPerTile;
+    const size_t tile_end = std::min(e, base + kCodesPerTile);
+    while (j < tile_end) {
+      if (x == 0) rx = j == 0 ? anchor : 0;  // restore the anchored residual
+      const size_t n = std::min(tile_end - j, nx - x);
+      const bool up = y > 0 && j >= b + nx;
+      const bool back = j >= b + plane;
+      const u16* c = codes + (j - base);
+      i64* p = pq + j;
+      if (up && back) {
+        rx = lorenzo_run<true, true>(c, n, rx, p - nx, p - plane,
+                                     p - plane - nx, p);
+      } else if (up) {
+        rx = lorenzo_run<true, false>(c, n, rx, p - nx, nullptr, nullptr, p);
+      } else if (back) {
+        rx = lorenzo_run<false, true>(c, n, rx, nullptr, p - plane, nullptr,
+                                      p);
+      } else {
+        rx = lorenzo_run<false, false>(c, n, rx, nullptr, nullptr, nullptr, p);
+      }
+      j += n;
+      x += n;
+      if (x == nx) {
+        x = 0;
+        if (++y == dims.y) y = 0;
+      }
+    }
+  }
+}
+
+/// Dequantize (dequantize / dequantize_f32fast's per-element formula) and
+/// optionally undo the log transform.
+template <typename T, bool kFast, bool kLog>
+struct Reconstruct {
+  double scale;
+  f32 scalef;
+
+  T operator()(i64 v) const {
+    T d;
+    if constexpr (kFast) {
+      d = dequantize_value_f32fast(v, scale, scalef);
+    } else {
+      d = dequantize_value<T>(v, scale);
+    }
+    if constexpr (kLog) d = static_cast<T>(std::exp(static_cast<double>(d)));
+    return d;
+  }
+};
+
+/// Pass 3: per strip, add the previous strip's global last line to every
+/// line but the strip's own last one — already global after the carry
+/// pass; strip 0 has no carry — and reconstruct into `out`.
+template <typename T, typename Fn>
+void write_strips(const i64* pq, const CarryAxis& axis, size_t strips,
+                  const Fn& reconstruct, T* out, telemetry::Sink* sink) {
+  const size_t line = axis.line;
+  parallel_tasks(strips, strips, [&](size_t s, size_t) {
+    const size_t b = axis.first(s, strips) * line;
+    const size_t e = axis.first(s + 1, strips) * line;
+    telemetry::Span span(sink, "fused-decode-write");
+    if (span.enabled()) {
+      span.arg("strip", static_cast<double>(s));
+      span.arg("bytes", static_cast<double>((e - b) * sizeof(T)));
+    }
+    const size_t interior_end = s > 0 ? e - line : b;
+    const i64* carry = s > 0 ? pq + (b - line) : nullptr;
+    if (line == 1) {
+      for (size_t i = b; i < interior_end; ++i)
+        out[i] = reconstruct(pq[i] + *carry);
+    } else {
+      for (size_t l = b; l < interior_end; l += line)
+        for (size_t k = 0; k < line; ++k)
+          out[l + k] = reconstruct(pq[l + k] + carry[k]);
+    }
+    for (size_t i = interior_end; i < e; ++i) out[i] = reconstruct(pq[i]);
+  });
+}
+
+template <typename T>
+void fused_decode_impl(std::span<const u32> flags32,
+                       std::span<const u32> offsets,
+                       std::span<const u32> blocks, const StreamHeader& h,
+                       bool f32_fast, std::span<i64> pq, std::span<T> out,
+                       size_t strips, SimdLevel level,
+                       telemetry::Sink* sink) {
+  const Dims dims{h.nx, h.ny, h.nz};
+  const size_t count = dims.count();
+  const size_t tiles = div_ceil(std::max<size_t>(count, 1), kCodesPerTile);
+  FZ_REQUIRE(count != 0 && pq.size() == count && out.size() == count,
+             "fused decode: size mismatch");
+  FZ_REQUIRE(flags32.size() == tiles * kBlocksPerTile &&
+                 offsets.size() == flags32.size(),
+             "fused decode: flag/offset size mismatch");
+  const CarryAxis axis(dims);
+  FZ_REQUIRE(strips >= 1 && strips <= axis.lines,
+             "fused decode: strip count out of range");
+  const TransposeUnitFn transpose = transpose_unit_fn(level);
+
+  // Pass 1: strip-local decode + inverse Lorenzo into pq.
+  parallel_tasks(strips, strips, [&](size_t s, size_t) {
+    const size_t b = axis.first(s, strips) * axis.line;
+    const size_t e = axis.first(s + 1, strips) * axis.line;
+    telemetry::Span span(sink, "fused-decode-strip");
+    if (span.enabled()) {
+      span.arg("strip", static_cast<double>(s));
+      span.arg("tiles", static_cast<double>(div_ceil(e, kCodesPerTile) -
+                                            b / kCodesPerTile));
+      span.arg("bytes", static_cast<double>((e - b) * sizeof(i64)));
+    }
+    decode_strip_local(flags32, offsets, blocks, dims, h.anchor, b, e,
+                       transpose, pq.data());
+  });
+
+  // Pass 2: globalize each strip's last line (the scan_*_chunked carry).
+  for (size_t s = 1; s < strips; ++s) {
+    i64* last = pq.data() + (axis.first(s + 1, strips) - 1) * axis.line;
+    const i64* prev = pq.data() + (axis.first(s, strips) - 1) * axis.line;
+    for (size_t k = 0; k < axis.line; ++k) last[k] += prev[k];
+  }
+
+  // Pass 3: carry + reconstruct straight into the caller's output.
+  const double scale = 2.0 * h.abs_eb;
+  const f32 scalef = static_cast<f32>(scale);
+  const bool log_transform = h.transform == kTransformLog;
+  const auto write = [&](const auto& reconstruct) {
+    write_strips(pq.data(), axis, strips, reconstruct, out.data(), sink);
+  };
+  if constexpr (std::is_same_v<T, f32>) {
+    if (f32_fast && f32fast_scale_ok(scale)) {
+      if (log_transform) {
+        write(Reconstruct<T, true, true>{scale, scalef});
+      } else {
+        write(Reconstruct<T, true, false>{scale, scalef});
+      }
+      return;
+    }
+  }
+  if (log_transform) {
+    write(Reconstruct<T, false, true>{scale, scalef});
+  } else {
+    write(Reconstruct<T, false, false>{scale, scalef});
+  }
+}
+
 }  // namespace
 
 void fused_scatter_decode_parallel(std::span<const u32> flags32,
@@ -74,14 +299,9 @@ void fused_scatter_decode_parallel(std::span<const u32> flags32,
     alignas(64) u32 tile_shuf[kTileWords];
     alignas(64) u32 tile_codes[kTileWords];
     for (size_t t = tile_b; t < tile_e; ++t) {
-      scatter_tile(flags32.data() + t * kBlocksPerTile,
-                   offsets.data() + t * kBlocksPerTile, blocks.data(),
-                   tile_shuf);
-      unshuffle_tile(transpose, tile_shuf, tile_codes);
-      // Codes are packed little-endian two-per-word (the codes-as-u32
-      // layout the whole pipeline shares); view them as u16 and decode.
       // The last tile's padding codes stop at the field's element count.
-      const u16* codes = reinterpret_cast<const u16*>(tile_codes);
+      const u16* codes = decode_tile(flags32, offsets, blocks, t, transpose,
+                                     tile_shuf, tile_codes);
       const size_t base = t * kCodesPerTile;
       const size_t n = std::min(kCodesPerTile, count - base);
       i64* out = deltas.data() + base;
@@ -92,6 +312,33 @@ void fused_scatter_decode_parallel(std::span<const u32> flags32,
     if (span.enabled())
       span.arg("bytes", static_cast<double>(decoded * sizeof(i64)));
   });
+}
+
+size_t fused_decode_strips(Dims dims, size_t workers) {
+  return std::min(fused_parallel_plan(dims, workers).strips,
+                  CarryAxis(dims).lines);
+}
+
+void fused_decode_parallel(std::span<const u32> flags32,
+                           std::span<const u32> offsets,
+                           std::span<const u32> blocks,
+                           const StreamHeader& header, bool f32_fast,
+                           std::span<i64> pq, std::span<f32> out,
+                           size_t strips, SimdLevel level,
+                           telemetry::Sink* sink) {
+  fused_decode_impl(flags32, offsets, blocks, header, f32_fast, pq, out,
+                    strips, level, sink);
+}
+
+void fused_decode_parallel(std::span<const u32> flags32,
+                           std::span<const u32> offsets,
+                           std::span<const u32> blocks,
+                           const StreamHeader& header, bool f32_fast,
+                           std::span<i64> pq, std::span<f64> out,
+                           size_t strips, SimdLevel level,
+                           telemetry::Sink* sink) {
+  fused_decode_impl(flags32, offsets, blocks, header, f32_fast, pq, out,
+                    strips, level, sink);
 }
 
 }  // namespace fz

@@ -1,29 +1,40 @@
-// The fused tile-parallel decompress pass — the decode-side twin of the
+// The fused tile-parallel decompress passes — the decode-side twin of the
 // PR5 compress fusion (core/kernels_simd.hpp).
 //
 // The unfused decompress graph materializes two full intermediate arrays
 // between the stream and the i64 residuals: the scattered shuffled words
 // (u32[total_words]) and the unshuffled code words (u32[total_words]).
-// Both are written once and read once — pure DRAM traffic.  This pass
-// walks the stream tile by tile instead: scatter one tile's compacted
+// Both are written once and read once — pure DRAM traffic.  These passes
+// walk the stream tile by tile instead: scatter one tile's compacted
 // blocks into a stack-resident 4 KiB buffer, inverse-bitshuffle it into a
-// second 4 KiB buffer, and sign-magnitude-decode the 2048 codes straight
-// into the caller's i64 delta array.  Both tile buffers live in L1 for the
-// whole pass, so the only DRAM traffic is the compressed sections in and
-// the deltas out.
+// second 4 KiB buffer, and sign-magnitude-decode the 2048 codes.  Both
+// tile buffers live in L1 for the whole pass.
 //
-// Strips of whole tiles (the same fused_parallel_plan partitioning the
-// compress side uses) write disjoint delta slices, so every strip count
-// produces identical bytes; the inverse-Lorenzo scans that follow
-// (core/lorenzo.hpp) propagate their own chunk boundary offsets, keeping
-// the whole decompress byte-identical for every (workers, SIMD tier,
-// dtype, rank) combination — pinned by tests/test_fused_decompress.cpp.
+// fused_scatter_decode_parallel stops at the i64 residuals (the inverse
+// Lorenzo and dequantize run after it, as separate kernels).
+// fused_decode_parallel, which the fused decompress graph runs, goes all
+// the way to the field: it splits the field into strips along the
+// Lorenzo carry axis (z-planes in 3-D, y-rows in 2-D, elements in 1-D)
+// and
+//   1. per strip, decodes each tile and runs the whole inverse Lorenzo in
+//      the same loop, treating everything before the strip as 0, and
+//      writes the strip-local i64 values once;
+//   2. globalizes each strip's last line by adding the previous strip's
+//      (already global) last line, one short serial pass;
+//   3. per strip, adds the previous strip's last line to every other line
+//      and dequantizes (plus exp for log-transformed streams) straight
+//      into the caller's output.
+// The i64 array is written once and read once.  Integer adds are
+// associative, so the result is bit-identical to the classic graph
+// (decode + lorenzo_inverse + dequantize) for every strip count, SIMD
+// tier, dtype and rank — pinned by tests/test_fused_decompress.cpp.
 #pragma once
 
 #include <span>
 
 #include "common/simd.hpp"
 #include "common/types.hpp"
+#include "core/format.hpp"
 #include "core/kernels_simd.hpp"
 
 namespace fz::telemetry {
@@ -41,7 +52,8 @@ namespace fz {
 /// non-null each strip records a "fused-decode-strip" span (strip id, tile
 /// count, decoded bytes) on its worker thread.  Output is bit-identical to
 /// decode_blocks + bitunshuffle_tiles_simd + quant_decode_v2 for every plan
-/// and SIMD tier.
+/// and SIMD tier.  The codec runs fused_decode_parallel instead; this
+/// kernel is the residual-only building block (layer probes, sim mirror).
 void fused_scatter_decode_parallel(std::span<const u32> flags32,
                                    std::span<const u32> offsets,
                                    std::span<const u32> blocks,
@@ -49,5 +61,38 @@ void fused_scatter_decode_parallel(std::span<const u32> flags32,
                                    const FusedParallelPlan& plan,
                                    SimdLevel level,
                                    telemetry::Sink* sink = nullptr);
+
+/// Strip count of fused_decode_parallel: fused_parallel_plan's strips,
+/// clamped to the number of carry-axis lines so every strip owns at least
+/// one whole z-plane (3-D), y-row (2-D) or element (1-D).
+size_t fused_decode_strips(Dims dims, size_t workers);
+
+/// Fused scatter + inverse bitshuffle + sign-magnitude decode + inverse
+/// Lorenzo + dequantize (+ exp when `header.transform` is the log
+/// transform) of a V2 stream into `out` (see the file comment).
+/// `flags32`/`offsets`/`blocks` are as for fused_scatter_decode_parallel;
+/// `header` supplies the dims, anchor, error bound and transform; `pq` is
+/// i64 staging of the field's element count (contents need not be
+/// initialized).  `f32_fast` selects dequantize_f32fast's formula for f32
+/// output (ignored for f64).  `strips` comes from fused_decode_strips.
+/// When `sink` is non-null each strip records a "fused-decode-strip" span
+/// (strip id, tile count, staged bytes) for its decode pass and a
+/// "fused-decode-write" span (strip id, written bytes) for its write-out.
+/// Output is bit-identical to the classic graph's InverseQuantStage +
+/// ReconstructStage for every strip count and SIMD tier.
+void fused_decode_parallel(std::span<const u32> flags32,
+                           std::span<const u32> offsets,
+                           std::span<const u32> blocks,
+                           const StreamHeader& header, bool f32_fast,
+                           std::span<i64> pq, std::span<f32> out,
+                           size_t strips, SimdLevel level,
+                           telemetry::Sink* sink = nullptr);
+void fused_decode_parallel(std::span<const u32> flags32,
+                           std::span<const u32> offsets,
+                           std::span<const u32> blocks,
+                           const StreamHeader& header, bool f32_fast,
+                           std::span<i64> pq, std::span<f64> out,
+                           size_t strips, SimdLevel level,
+                           telemetry::Sink* sink = nullptr);
 
 }  // namespace fz

@@ -87,9 +87,10 @@ struct FzParams {
   /// bench harness uses this as the fused-serial baseline.
   bool fused_serial_tiles = false;
   /// Host execution: decompress through the fused tile-parallel decode
-  /// graph (scatter + inverse bitshuffle + sign-magnitude decode tile by
-  /// tile per strip; the shuffled-word and u16-code arrays never
-  /// materialize).  V2 streams only — V1/legacy streams are routed to the
+  /// graph (scatter + inverse bitshuffle + sign-magnitude decode + inverse
+  /// Lorenzo tile by tile per strip, then dequantize straight into the
+  /// output; the shuffled-word and u16-code arrays never materialize and
+  /// the i64 staging is written once and read once).  V2 streams only — V1/legacy streams are routed to the
   /// unfused graph automatically.  Output is byte-identical either way —
   /// pinned by tests/test_fused_decompress.cpp.
   bool fused_decompress = true;

@@ -1,7 +1,6 @@
 #include "core/quantizer.hpp"
 
 #include <atomic>
-#include <cfloat>
 #include <cmath>
 
 #include "common/bits.hpp"
@@ -33,8 +32,7 @@ void dequantize_impl(std::span<const i64> p, double eb, std::span<T> out) {
   FZ_REQUIRE(p.size() == out.size(), "dequantize: size mismatch");
   const double scale = 2.0 * eb;
   parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i)
-      out[i] = static_cast<T>(static_cast<double>(p[i]) * scale);
+    for (size_t i = b; i < e; ++i) out[i] = dequantize_value<T>(p[i], scale);
   });
 }
 
@@ -61,18 +59,13 @@ void dequantize_f32fast(std::span<const i64> p, double eb,
   const float scalef = static_cast<float>(scale);
   // The fast product needs a normal, finite f32 scale; fall back to the
   // exact expression when 2·eb rounds to zero/subnormal/inf in f32.
-  if (!(scale >= FLT_MIN && scale <= FLT_MAX)) {
+  if (!f32fast_scale_ok(scale)) {
     dequantize_impl(p, eb, out);
     return;
   }
-  constexpr i64 kExactF32 = i64{1} << 24;  // float(p) exact below this
   parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const i64 v = p[i];
-      out[i] = (v > -kExactF32 && v < kExactF32)
-                   ? static_cast<f32>(v) * scalef
-                   : static_cast<f32>(static_cast<double>(v) * scale);
-    }
+    for (size_t i = b; i < e; ++i)
+      out[i] = dequantize_value_f32fast(p[i], scale, scalef);
   });
 }
 

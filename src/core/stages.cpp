@@ -486,11 +486,12 @@ class InverseQuantStage final : public Stage {
 };
 
 /// The fused decompress hot path (the decode-side twin of
-/// FusedQuantShuffleMarkStage): recover block offsets once, then scatter +
-/// inverse-bitshuffle + sign-magnitude decode tile by tile per strip —
-/// the full shuffled-word and u16-code arrays never materialize.  The
-/// inverse Lorenzo runs after, with its boundary offsets propagated in the
-/// existing cheap second pass, so the output is byte-identical to the
+/// FusedQuantShuffleMarkStage): recover block offsets once, then per strip
+/// of carry-axis lines scatter + inverse-bitshuffle + sign-magnitude
+/// decode + inverse Lorenzo tile by tile, and finally carry + dequantize
+/// straight into the caller's output (core/kernels_decode.hpp).  The
+/// shuffled-word and u16-code arrays never materialize and the i64 lease
+/// is written once and read once; the output is byte-identical to the
 /// unfused graph for every plan.  V2 streams only (V1's outlier patching
 /// needs the whole code array).
 class FusedDecodeStage final : public Stage {
@@ -516,18 +517,27 @@ class FusedDecodeStage final : public Stage {
                          ctx.scan_scratch.as<u32>());
 
     ctx.pq = ctx.pool->acquire(ctx.count * sizeof(i64), false);
-    const FusedParallelPlan plan =
-        fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
-    // Best-effort NUMA placement: touch each strip's output slice in strip
+    const size_t strips =
+        fused_decode_strips(ctx.dims, ctx.params.fused_workers);
+    // Best-effort NUMA placement: touch each strip's staging slice in strip
     // shape while the lease's pages are still uncommitted.
     if (ctx.params.numa_first_touch && ctx.pq.fresh())
-      fused_first_touch_strips(ctx.pq.bytes(), plan.strips);
-    const std::span<i64> pq = ctx.pq.as<i64>();
-    fused_scatter_decode_parallel(ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
-                                  ctx.blocks.as<u32>(), pq, plan,
-                                  resolve_simd(ctx.params.simd), ctx.sink);
-    pq[0] += ctx.header.anchor;  // restore the first value's residual
-    lorenzo_inverse(pq, ctx.dims, pq, ctx.params.fused_workers);
+      fused_first_touch_strips(ctx.pq.bytes(), strips);
+    if (ctx.dtype == sizeof(f64)) {
+      run_impl<f64>(ctx, strips);
+    } else {
+      run_impl<f32>(ctx, strips);
+    }
+  }
+
+ private:
+  template <typename T>
+  static void run_impl(PipelineContext& ctx, size_t strips) {
+    fused_decode_parallel(ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
+                          ctx.blocks.as<u32>(), ctx.header,
+                          ctx.params.f32_fast_quant, ctx.pq.as<i64>(),
+                          ctx.output_as<T>(), strips,
+                          resolve_simd(ctx.params.simd), ctx.sink);
   }
 };
 
@@ -599,7 +609,6 @@ StageGraph make_decompress_stages_fused() {
   StageGraph g;
   g.push_back(std::make_unique<ParseHeaderStage>());
   g.push_back(std::make_unique<FusedDecodeStage>());
-  g.push_back(std::make_unique<ReconstructStage>());
   return g;
 }
 

@@ -14,11 +14,18 @@
 //   EncodeStage             prefix-sum offsets + block compaction (3.4)
 //   AssembleStage           header + sections -> output stream
 //
-// Decompression mirrors it in reverse:
+// Decompression mirrors it in reverse (the classic graph; V1 streams and
+// FzParams::fused_decompress = false):
 //   ParseHeaderStage        validate header, slice stream sections
 //   ScatterUnshuffleStage   scatter nonzero blocks + inverse bitshuffle
 //   InverseQuantStage       decode residuals + inverse Lorenzo
 //   ReconstructStage        dequantize + inverse transform -> output
+//
+// The fused decompress graph (the default for V2 streams):
+//   ParseHeaderStage        as above
+//   FusedDecodeStage        scatter + inverse bitshuffle + decode + inverse
+//                           Lorenzo per strip, then carry + dequantize +
+//                           inverse transform -> output
 //
 // fz::Codec (core/codec.hpp) owns a pool plus both graphs and is the
 // intended way to run them; fz_compress/fz_decompress are thin one-shot
@@ -140,11 +147,14 @@ StageGraph make_decompress_stages();
 StageGraph make_compress_stages_fused();
 
 /// The fused decompress graph: ScatterUnshuffleStage + InverseQuantStage
-/// are replaced by one FusedDecodeStage that scatters, inverse-bitshuffles
-/// and decodes tile by tile per strip (core/kernels_decode.hpp) — the
-/// shuffled-word and u16-code arrays never materialize.  V2 streams only
-/// (fz::Codec peeks the header and routes V1 streams to the unfused
-/// graph); the output is byte-identical to make_decompress_stages().
+/// + ReconstructStage are replaced by one FusedDecodeStage that scatters,
+/// inverse-bitshuffles, decodes and inverse-Lorenzo-scans tile by tile per
+/// strip, then dequantizes straight into the caller's output
+/// (core/kernels_decode.hpp) — the shuffled-word and u16-code arrays never
+/// materialize and the i64 staging is written once and read once.  V2
+/// streams only (fz::Codec peeks the header and routes V1 streams to the
+/// unfused graph); the output is byte-identical to
+/// make_decompress_stages().
 StageGraph make_decompress_stages_fused();
 
 }  // namespace fz

@@ -151,6 +151,28 @@ TEST(CostModel, FusedTileSheetDropsExactlyTheCodeRoundTrip) {
             dev.seconds(split[0]) + dev.seconds(split[1]));
 }
 
+TEST(CostModel, FusedDecodeIntoStagesI64OnceAndWritesTheDtype) {
+  // The fused decompress pass reads the compressed sections (priced by
+  // the scatter-decode sheet), writes and re-reads the i64 staging once,
+  // and writes one output value: 8 + 8 + 4 = 20 B per f32 value, 24 for
+  // f64, beyond the sections.
+  const size_t n = (1 << 20) + 12345;
+  const FzStats st = stats_for(n, 0.3);
+  const cudasim::CostSheet scatter = fz_fused_decode_cost(st);
+  const cudasim::CostSheet into = fz_fused_decode_into_cost(st);
+  const u64 sections = scatter.global_bytes_read;
+  EXPECT_EQ(into.global_bytes_read, sections + n * 8);
+  EXPECT_EQ(into.global_bytes_written, n * 8 + n * 4);
+  EXPECT_EQ(into.global_bytes(), sections + n * 20);
+  EXPECT_EQ(into.kernel_launches, 1u);
+  EXPECT_GT(into.thread_ops, scatter.thread_ops);
+
+  FzStats st64 = st;
+  st64.input_bytes = n * sizeof(f64);
+  EXPECT_EQ(fz_fused_decode_into_cost(st64).global_bytes(),
+            sections + n * 24);
+}
+
 TEST(CostModel, HaloRecomputeTermScalesWithStripsAndStencilReach) {
   // PR5's strip scheme pays (strips - 1) halo re-prequantizations whose
   // size is the Lorenzo stencil's linear reach: 1 element in 1-D, a row

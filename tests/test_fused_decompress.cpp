@@ -1,18 +1,21 @@
-// Schedule independence of the fused tile-parallel decompress pipeline
-// (ISSUE PR10): the cache-resident scatter + inverse-bitshuffle +
-// sign-magnitude decode pass must reconstruct byte-identical fields to the
-// classic staged graph for EVERY worker count, SIMD tier, dtype and rank —
-// and the 3-D z-carry chunked inverse scans must be exact for every chunk
-// split (i64 adds are associative mod 2^64, so the partition never shows).
-// Also pins the per-strip telemetry spans, legacy-stream routing, the
-// device-model mirror (sim_fused_decode) and the split-plane halo windows,
-// plus end-to-end identity through fz::Reader chunk fetches and fz::Service
+// Schedule independence of the fused tile-parallel decompress pipeline:
+// the cache-resident scatter + inverse-bitshuffle + sign-magnitude decode
+// + inverse Lorenzo + dequantize pass must reconstruct byte-identical
+// fields to the classic staged graph for EVERY worker count, SIMD tier,
+// dtype, rank, f32_fast_quant setting and transform — including strip
+// edges that fall mid-tile and one-line strips — and the 3-D z-carry
+// chunked inverse scans must be exact for every chunk split (i64 adds are
+// associative mod 2^64, so the partition never shows).  Also pins the
+// per-strip telemetry spans, legacy-stream routing, the device-model
+// mirror (sim_fused_decode) and the split-plane halo windows, plus
+// end-to-end identity through fz::Reader chunk fetches and fz::Service
 // decompress jobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -25,12 +28,14 @@
 #include "core/codec.hpp"
 #include "core/chunked.hpp"
 #include "core/encoder.hpp"
+#include "core/kernels_decode.hpp"
 #include "core/kernels_sim.hpp"
 #include "core/kernels_simd.hpp"
 #include "core/lorenzo.hpp"
 #include "datasets/field.hpp"
 #include "reader/reader.hpp"
 #include "service/service.hpp"
+#include "substrate/scan.hpp"
 #include "telemetry/telemetry.hpp"
 
 // The cudasim device model drives thousands of simulated threads through
@@ -170,6 +175,167 @@ TEST(FusedDecompress, LegacyV1StreamsRouteToTheClassicGraph) {
   ASSERT_EQ(codec_on.decompress_into(c.bytes, a), dims);
   ASSERT_EQ(codec_off.decompress_into(c.bytes, b), dims);
   expect_bits_equal<f32>(a, b, "v1 stream");
+}
+
+// ---- fused decode into the caller's buffer: strip edges and formulas -------
+
+// Rows/planes that are not multiples of a 2048-code tile, so strip edges
+// fall mid-tile, and shapes with fewer carry-axis lines (nz, or ny in 2-D)
+// than workers.
+const Dims kOddDims[] = {Dims{37, 29, 11}, Dims{448, 3, 5}, Dims{70001},
+                         Dims{301, 29},    Dims{61, 5},     Dims{2100, 3},
+                         Dims{40, 33, 2},  Dims{50, 20, 3}, Dims{700, 1, 3}};
+
+/// Strictly positive variant of field() (the log transform needs d > 0).
+template <typename T>
+std::vector<T> positive_field(Dims dims, u64 seed) {
+  std::vector<T> v = field<T>(dims, seed);
+  for (T& x : v) x = static_cast<T>(std::fabs(static_cast<double>(x)) + 1.0);
+  return v;
+}
+
+struct DecodeCase {
+  bool f32_fast = false;
+  bool log_transform = false;
+  std::string label() const {
+    return std::string(f32_fast ? " f32-fast" : "") +
+           (log_transform ? " log" : "");
+  }
+};
+
+template <typename T>
+FzCompressed compress_case(Dims dims, const DecodeCase& dc) {
+  FzParams cp;
+  cp.eb = dc.log_transform ? ErrorBound::pointwise_relative(1e-3)
+                           : ErrorBound::absolute(1e-3);
+  cp.f32_fast_quant = dc.f32_fast;
+  cp.fused_workers = 1;
+  Codec compressor(cp);
+  const std::vector<T> data = dc.log_transform
+                                  ? positive_field<T>(dims, dims.count())
+                                  : field<T>(dims, dims.count());
+  return compressor.compress(std::span<const T>{data}, dims);
+}
+
+template <typename T>
+std::vector<T> classic_decode(const FzCompressed& c, Dims dims,
+                              const DecodeCase& dc) {
+  FzParams ref;
+  ref.f32_fast_quant = dc.f32_fast;
+  ref.fused_decompress = false;
+  Codec codec(ref);
+  std::vector<T> want(dims.count());
+  EXPECT_EQ(codec.decompress_into(c.bytes, want), dims);
+  return want;
+}
+
+template <typename T>
+void sweep_odd_shape(Dims dims, const DecodeCase& dc) {
+  const FzCompressed c = compress_case<T>(dims, dc);
+  const std::vector<T> want = classic_decode<T>(c, dims, dc);
+  for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+    FzParams dp;
+    dp.f32_fast_quant = dc.f32_fast;
+    dp.fused_workers = workers;
+    Codec codec(dp);
+    std::vector<T> got(want.size(), T(-1));
+    ASSERT_EQ(codec.decompress_into(c.bytes, got), dims);
+    expect_bits_equal<T>(got, want,
+                         dims.to_string() + dc.label() + " f" +
+                             std::to_string(sizeof(T) * 8) + " workers " +
+                             std::to_string(workers));
+  }
+}
+
+TEST(FusedDecompress, MatchesClassicAcrossStripEdgesFastQuantAndLogTransform) {
+  for (const Dims dims : kOddDims)
+    for (const bool log_transform : {false, true}) {
+      sweep_odd_shape<f64>(dims, {false, log_transform});
+      for (const bool f32_fast : {false, true})
+        sweep_odd_shape<f32>(dims, {f32_fast, log_transform});
+    }
+}
+
+/// The V2 sections of a single-field stream, expanded the way
+/// FusedDecodeStage does before calling the kernel.
+struct ParsedSections {
+  StreamHeader header{};
+  std::vector<u32> blocks, flags32, offsets;
+};
+
+ParsedSections parse_sections(const FzCompressed& c) {
+  ParsedSections p;
+  std::memcpy(&p.header, c.bytes.data(), sizeof(StreamHeader));
+  const StreamHeader& h = p.header;
+  const size_t nblocks =
+      round_up(h.count, kCodesPerTile) * sizeof(u16) / sizeof(u32) /
+      kBlockWords;
+  const size_t flag_off = sizeof(StreamHeader);
+  const size_t block_off = flag_off + h.bit_flag_bytes;
+  p.blocks.resize(h.block_words);
+  std::memcpy(p.blocks.data(), c.bytes.data() + block_off,
+              h.block_words * sizeof(u32));
+  p.flags32.resize(nblocks);
+  p.offsets.resize(nblocks);
+  std::vector<u32> scan(2 * scan_chunk_count(nblocks));
+  decode_block_offsets(ByteSpan(c.bytes.data() + flag_off, h.bit_flag_bytes),
+                       p.blocks, p.flags32, p.offsets, scan);
+  return p;
+}
+
+TEST(FusedDecompress, KernelIsExactForEveryStripCountUpToOneLinePerStrip) {
+  // The codec's plan never puts fewer than ~4 lines in a strip; drive the
+  // kernel directly so one-line strips (a strip whose first line is its
+  // last) and every edge position are covered too.
+  for (const Dims dims : {Dims{37, 29, 11}, Dims{448, 3, 5}, Dims{301, 29},
+                          Dims{5000}}) {
+    const DecodeCase dc{false, true};
+    const FzCompressed c = compress_case<f32>(dims, dc);
+    const std::vector<f32> want = classic_decode<f32>(c, dims, dc);
+    const ParsedSections p = parse_sections(c);
+    const size_t lines =
+        dims.rank() == 3 ? dims.z : (dims.rank() == 2 ? dims.y : dims.x);
+    for (size_t strips = 1; strips <= lines;
+         strips = strips < 40 ? strips + 1 : strips * 7) {
+      std::vector<i64> pq(dims.count());
+      std::vector<f32> got(dims.count(), -1.0f);
+      fused_decode_parallel(p.flags32, p.offsets, p.blocks, p.header,
+                            /*f32_fast=*/false, pq, got, strips,
+                            simd_supported());
+      expect_bits_equal<f32>(got, want,
+                             dims.to_string() + " strips " +
+                                 std::to_string(strips));
+    }
+  }
+}
+
+TEST(FusedDecompress, ReaderAndServiceMatchTheClassicGraph) {
+  // A log-transformed odd shape through both serving surfaces, against
+  // the classic graph rather than another fused decode.
+  const Dims dims{37, 29, 11};
+  const DecodeCase dc{false, true};
+  const FzCompressed c = compress_case<f32>(dims, dc);
+  const std::vector<f32> want = classic_decode<f32>(c, dims, dc);
+
+  ReaderOptions ro;
+  ro.workers = 2;
+  Reader reader(c.bytes, ro);
+  std::vector<f32> flat(want.size());
+  reader.read_flat(0, flat);
+  expect_bits_equal<f32>(flat, want, "reader");
+
+  Service::Options so;
+  so.workers = 2;
+  Service service(so);
+  Request req;
+  req.kind = JobKind::Decompress;
+  req.payload = c.bytes;
+  Response resp;
+  ASSERT_TRUE(service.submit(req, resp).ok()) << resp.status.message();
+  ASSERT_EQ(resp.payload.size(), want.size() * sizeof(f32));
+  std::vector<f32> got(want.size());
+  std::memcpy(got.data(), resp.payload.data(), resp.payload.size());
+  expect_bits_equal<f32>(got, want, "service");
 }
 
 // ---- 3-D z-carry chunked scans --------------------------------------------

@@ -99,9 +99,10 @@ TEST(Telemetry, DecompressAndF64EmitOneSpanPerStage) {
 
   const auto counts = span_counts(sink);
   EXPECT_EQ(counts.at("compress"), 1u);
-  for (const char* stage :
-       {"decompress", "parse-header", "fused-decode", "reconstruct"})
+  for (const char* stage : {"decompress", "parse-header", "fused-decode"})
     EXPECT_EQ(counts.at(stage), 1u) << stage;
+  // The fused decode writes the output itself: no separate reconstruct.
+  EXPECT_EQ(counts.count("reconstruct"), 0u);
 
   // The unfused graph (fused_decompress off) still emits its classic
   // stage spans.
