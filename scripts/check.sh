@@ -74,8 +74,8 @@ trace_smoke() {
   FZ_TRACE="${tmp}/env.json" "${cli}" selftest > /dev/null
   "${cli}" --trace "${tmp}/cli.json" selftest > /dev/null 2> "${tmp}/summary.txt"
   python3 scripts/validate_trace.py "${tmp}/env.json" \
-    --expect compress decompress chunk-compress prefix-sum-encode \
-    reader-read chunk-fetch \
+    --expect compress decompress chunk-compress fused-quant-shuffle-mark \
+    fused-strip reader-read chunk-fetch \
     --min-count reader-read=2 chunk-fetch=4
   python3 scripts/validate_trace.py "${tmp}/cli.json" \
     --expect compress compress-chunked chunk-compress chunk-decompress \

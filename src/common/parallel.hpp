@@ -16,6 +16,7 @@
 #include <mutex>
 #include <span>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -156,49 +157,67 @@ void parallel_tasks(size_t count, size_t workers, Fn&& fn) {
   for (size_t i = 0; i < count; ++i) fn(i, 0);
 }
 
-/// Parallel min/max over the span (OpenMP parallel+simd reduction; no
-/// scratch allocation).  The branchless select form vectorizes where the
-/// branchy `if (x < lo)` form cannot, and min/max reductions are
-/// order-independent on NaN-free data, so the result is identical to the
-/// serial loop.  The data must be NaN-free — validate first.  Requires a
-/// non-empty span.
+/// Exponent-bit mask of T: a value is non-finite (NaN/Inf) exactly when all
+/// of these bits are set, so finiteness is a pure integer compare.
 template <typename T>
-std::pair<T, T> parallel_minmax(std::span<const T> v) {
-  FZ_REQUIRE(!v.empty(), "parallel_minmax: empty span");
-  T lo = v[0];
-  T hi = v[0];
-  const T* p = v.data();
-#if defined(FZ_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static) reduction(min : lo) \
-    reduction(max : hi)
-#endif
-  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i) {
-    const T x = p[i];
-    lo = x < lo ? x : lo;
-    hi = x > hi ? x : hi;
-  }
-  return {lo, hi};
-}
+using FloatBits = std::conditional_t<sizeof(T) == sizeof(u32), u32, u64>;
+template <typename T>
+inline constexpr FloatBits<T> kExponentMask =
+    sizeof(T) == sizeof(u32) ? static_cast<FloatBits<T>>(0x7f800000u)
+                             : static_cast<FloatBits<T>>(0x7ff0000000000000ull);
 
 /// True iff every element is finite (no NaN/Inf).  OpenMP parallel+simd
-/// reduced; no scratch allocation.  A value is non-finite exactly when all
-/// its exponent bits are set, so the test is pure integer compare+AND —
-/// no libm isfinite call, and the loop vectorizes.
+/// reduced; no scratch allocation, no libm isfinite call, and the loop
+/// vectorizes.
 template <typename T>
 bool parallel_all_finite(std::span<const T> v) {
-  using U = std::conditional_t<sizeof(T) == sizeof(u32), u32, u64>;
+  using U = FloatBits<T>;
   static_assert(sizeof(T) == sizeof(U));
-  constexpr U kExpMask = sizeof(T) == sizeof(u32)
-                             ? static_cast<U>(0x7f800000u)
-                             : static_cast<U>(0x7ff0000000000000ull);
   const T* p = v.data();
-  int ok = 1;
+  U ok = 1;
 #if defined(FZ_HAVE_OPENMP)
 #pragma omp parallel for simd schedule(static) reduction(& : ok)
 #endif
   for (i64 i = 0; i < static_cast<i64>(v.size()); ++i)
-    ok &= static_cast<int>((std::bit_cast<U>(p[i]) & kExpMask) != kExpMask);
+    ok &= static_cast<U>((std::bit_cast<U>(p[i]) & kExponentMask<T>) !=
+                         kExponentMask<T>);
   return ok != 0;
+}
+
+template <typename T>
+struct FiniteMinmax {
+  bool finite = true;  ///< no element is NaN/Inf
+  T lo{};              ///< meaningful only when `finite`
+  T hi{};
+};
+
+/// Finiteness test and min/max in one read of the span: one OpenMP
+/// parallel+simd region with an `&` reduction over the exponent test and
+/// min/max reductions over the values.  The branchless select form
+/// vectorizes, and min/max are order-independent on NaN-free data, so
+/// lo/hi equal the serial scan's whenever `finite` is true.  Requires a
+/// non-empty span.
+template <typename T>
+FiniteMinmax<T> parallel_finite_minmax(std::span<const T> v) {
+  using U = FloatBits<T>;
+  static_assert(sizeof(T) == sizeof(U));
+  FZ_REQUIRE(!v.empty(), "parallel_finite_minmax: empty span");
+  const T* p = v.data();
+  U ok = 1;
+  T lo = p[0];
+  T hi = p[0];
+#if defined(FZ_HAVE_OPENMP)
+#pragma omp parallel for simd schedule(static) reduction(& : ok) \
+    reduction(min : lo) reduction(max : hi)
+#endif
+  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i) {
+    const T x = p[i];
+    ok &= static_cast<U>((std::bit_cast<U>(x) & kExponentMask<T>) !=
+                         kExponentMask<T>);
+    lo = x < lo ? x : lo;
+    hi = x > hi ? x : hi;
+  }
+  return {ok != 0, lo, hi};
 }
 
 }  // namespace fz

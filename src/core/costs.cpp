@@ -186,6 +186,30 @@ CostSheet fz_fused_parallel_cost(const FzStats& st, Dims dims, size_t strips) {
   return c;
 }
 
+CostSheet fz_fused_encode_cost(const FzStats& st, Dims dims, size_t strips) {
+  const double n = static_cast<double>(st.count);
+  const size_t words = round_up(st.count, kTileBytes / sizeof(u16)) / 2;
+  const double w = static_cast<double>(words);
+  const double blocks = static_cast<double>(st.total_blocks);
+  const u64 elem_bytes = st.count == 0 ? 0 : st.input_bytes / st.count;
+  const u64 halo = fz_halo_recompute_elems(dims, strips);
+
+  CostSheet c;
+  c.name = "fused-quant-encode";
+  c.kernel_launches = 1;
+  c.global_bytes_read = st.input_bytes + halo * elem_bytes;
+  c.global_bytes_written = static_cast<u64>(st.total_blocks) / 8 +
+                           static_cast<u64>(st.nonzero_blocks) * kBlockWords *
+                               sizeof(u32);
+  // The expanded pass's arithmetic plus the per-block append at the tile
+  // flush; the halo adds its pointwise quantization.
+  c.thread_ops = static_cast<u64>(
+      n * kPredQuantV2Ops + w * kBitshuffleOpsPerWord +
+      blocks * (kMarkOpsPerBlock + kCompactOpsPerBlock)) + halo * 2;
+  c.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
+  return c;
+}
+
 CostSheet fz_fused_decode_cost(const FzStats& st) {
   const double n = static_cast<double>(st.count);
   const size_t words = round_up(st.count, kTileBytes / sizeof(u16)) / 2;

@@ -48,6 +48,17 @@ u64 fz_halo_recompute_elems(Dims dims, size_t strips);
 cudasim::CostSheet fz_fused_parallel_cost(const FzStats& st, Dims dims,
                                           size_t strips);
 
+/// Modeled host cost of the compress pass the codec runs
+/// (fused_quant_encode_parallel, core/kernels_simd.hpp): the input plus
+/// the strips' halo is read once, in its own dtype (st.input_bytes), and
+/// only the stream's sections are written — the packed bit flags and the
+/// nonzero blocks.  Unlike fz_fused_parallel_cost (the expanded kernel),
+/// neither the full shuffled array nor the byte flags reach DRAM, and the
+/// prefix-sum-encode stage's scan and re-reads are gone: each strip
+/// compacts its own tiles.
+cudasim::CostSheet fz_fused_encode_cost(const FzStats& st, Dims dims,
+                                        size_t strips);
+
 /// Modeled cost of the fused decompress pass (make_decompress_stages_fused
 /// / the sim_fused_decode device kernel): scatter + inverse bitshuffle +
 /// sign-magnitude decode in one launch over cache-resident tiles — the

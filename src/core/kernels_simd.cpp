@@ -817,14 +817,22 @@ KernelOps ops_for(SimdLevel level) {
 // Accumulates delta rows into one cache-resident tile of codes; a full tile
 // is immediately transposed (plane-major scatter, as bitshuffle_tiles) and
 // zero-block marked, so codes never exist outside this 4 KiB buffer.
+//
+// Two flush modes share everything else.  Expanded: the shuffled tile and
+// its byte flags land at the tile's slot of the full-size arrays (the
+// unfused graph's BitshuffleMarkStage output).  Compacting (empty
+// `byte_flags`): the tile is transposed and marked in L1, and only its
+// nonzero 16-byte blocks are appended at the sink's cursor in `out` — the
+// stream's block section for this run of tiles, in tile order.
 class TileSink {
  public:
-  TileSink(const KernelOps& ops, std::span<u32> shuffled,
-           std::span<u8> byte_flags, std::span<u8> bit_flags)
+  TileSink(const KernelOps& ops, std::span<u32> out, std::span<u8> byte_flags,
+           std::span<u8> bit_flags)
       : ops_(ops),
-        shuffled_(shuffled.data()),
+        out_(out.data()),
         byte_flags_(byte_flags.data()),
-        bit_flags_(bit_flags.data()) {}
+        bit_flags_(bit_flags.data()),
+        compact_(byte_flags.empty()) {}
 
   void consume(const i64* d, size_t n) {
     while (n != 0) {
@@ -864,29 +872,49 @@ class TileSink {
   }
 
   size_t saturated() const { return sat_; }
+  /// Compacting mode: nonzero blocks appended so far.
+  size_t blocks() const { return blocks_; }
 
  private:
   u16* codes() { return reinterpret_cast<u16*>(tile_); }
 
   void flush() {
     const u32* words = reinterpret_cast<const u32*>(tile_);
-    u32* tout = shuffled_ + tile_index_ * kTileWords;
+    u32* tout = compact_ ? shuffled_ : out_ + tile_index_ * kTileWords;
+    u8* flags = compact_ ? local_flags_
+                         : byte_flags_ + tile_index_ * kBlocksPerTile;
     for (size_t u = 0; u < kUnitsPerTile; ++u)
       ops_.transpose(words + u * kUnitWords, tout + u, kUnitsPerTile);
-    ops_.mark(tout, kBlocksPerTile, byte_flags_ + tile_index_ * kBlocksPerTile,
+    ops_.mark(tout, kBlocksPerTile, flags,
               bit_flags_ + tile_index_ * (kBlocksPerTile / 8));
+    if (compact_) {
+      // Branchless append: every block is stored at the cursor, which
+      // advances only past nonzero ones.  The cursor never passes the
+      // current block's own slot, so the stores stay inside this run's
+      // tiles of `out`.
+      u32* dst = out_ + blocks_ * kBlockWords;
+      for (size_t b = 0; b < kBlocksPerTile; ++b) {
+        std::memcpy(dst, tout + b * kBlockWords, kBlockWords * sizeof(u32));
+        dst += flags[b] * kBlockWords;
+      }
+      blocks_ = static_cast<size_t>(dst - out_) / kBlockWords;
+    }
     ++tile_index_;
     fill_ = 0;
   }
 
   const KernelOps& ops_;
-  u32* shuffled_;
+  u32* out_;
   u8* byte_flags_;
   u8* bit_flags_;
+  const bool compact_;
   size_t fill_ = 0;
   size_t tile_index_ = 0;
   size_t sat_ = 0;
+  size_t blocks_ = 0;
   alignas(32) u8 tile_[kTileBytes];
+  alignas(32) u32 shuffled_[kTileWords];  ///< compacting mode only
+  u8 local_flags_[kBlocksPerTile];        ///< compacting mode only
 };
 
 // Plain integer delta rows (Lorenzo residuals of pre-quantized values);
@@ -1080,15 +1108,13 @@ struct StripExtent {
 /// Lorenzo stencil reaches across the strip boundary (pointwise, so the
 /// values match what the serial pass carried bit-for-bit), then streams its
 /// rows through batched prequantization and the fused delta+encode kernels
-/// into a TileSink over the strip's own tiles.  `anchor` is written only by
-/// the strip containing element 0.
+/// into `sink`, a TileSink over the strip's own tiles.  `anchor` is written
+/// only by the strip containing element 0.  Returns the halo element count.
 template <typename T>
-void run_fused_strip(std::span<const T> data, Dims dims, double inv,
-                     float invf, bool fast, const KernelOps& ops,
-                     const StripExtent& ext, std::span<i64> scratch,
-                     std::span<u32> shuffled, std::span<u8> byte_flags,
-                     std::span<u8> bit_flags, i64* anchor, size_t* saturated,
-                     size_t* halo_out) {
+size_t run_fused_strip(std::span<const T> data, Dims dims, double inv,
+                       float invf, bool fast, const KernelOps& ops,
+                       const StripExtent& ext, std::span<i64> scratch,
+                       TileSink& sink, i64* anchor) {
   auto prequant_row = [&](const T* src, size_t n, i64* dst) {
     if constexpr (std::is_same_v<T, f32>) {
       if (fast)
@@ -1103,13 +1129,6 @@ void run_fused_strip(std::span<const T> data, Dims dims, double inv,
     }
   };
 
-  TileSink sink(
-      ops, shuffled.subspan(ext.first_tile * kTileWords,
-                            ext.tile_count * kTileWords),
-      byte_flags.subspan(ext.first_tile * kBlocksPerTile,
-                         ext.tile_count * kBlocksPerTile),
-      bit_flags.subspan(ext.first_tile * (kBlocksPerTile / 8),
-                        ext.tile_count * (kBlocksPerTile / 8)));
   size_t halo = 0;
 
   switch (dims.rank()) {
@@ -1291,30 +1310,36 @@ void run_fused_strip(std::span<const T> data, Dims dims, double inv,
   }
 
   sink.finish();
-  *saturated = sink.saturated();
-  *halo_out = halo;
+  return halo;
 }
 
+/// The strip loop shared by both tile-parallel entry points.  An empty
+/// `byte_flags` selects compacting sinks: strip t appends its nonzero blocks
+/// from the start of its own tiles in `out` and reports them in runs[t].
 template <typename T>
 FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
                                     double abs_eb, bool f32_fast,
-                                    std::span<u32> shuffled,
+                                    std::span<u32> out,
                                     std::span<u8> byte_flags,
                                     std::span<u8> bit_flags,
+                                    std::span<FusedStripRun> runs,
                                     std::span<i64> scratch,
                                     const FusedParallelPlan& plan,
                                     SimdLevel level, telemetry::Sink* sink) {
   FZ_REQUIRE(abs_eb > 0, "fused: error bound must be positive");
   FZ_REQUIRE(data.size() == dims.count(), "fused: dims/size mismatch");
   FZ_REQUIRE(data.size() > 0, "fused: empty input");
+  const bool compact = byte_flags.empty();
   const size_t padded = round_up(data.size(), kCodesPerTile);
   const size_t words = padded * sizeof(u16) / sizeof(u32);
-  FZ_REQUIRE(shuffled.size() == words, "fused: shuffled size mismatch");
-  FZ_REQUIRE(byte_flags.size() == words / kBlockWords &&
+  FZ_REQUIRE(out.size() == words, "fused: shuffled size mismatch");
+  FZ_REQUIRE((compact || byte_flags.size() == words / kBlockWords) &&
                  bit_flags.size() == words / kBlockWords / 8,
              "fused: flag size mismatch");
   FZ_REQUIRE(plan.strips >= 1 && scratch.size() >= plan.scratch_elems,
              "fused: scratch smaller than the plan");
+  FZ_REQUIRE(!compact || runs.size() == plan.strips,
+             "fused: one run per planned strip");
 
   const size_t tiles = padded / kCodesPerTile;
   const size_t tiles_per = div_ceil(tiles, plan.strips);
@@ -1328,6 +1353,8 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
 
   std::atomic<size_t> saturated{0};
   i64 anchor = 0;  // written only by the strip holding element 0
+  // A caller-built plan may fold to fewer strips; their runs stay empty.
+  for (size_t t = strips; t < runs.size(); ++t) runs[t] = {};
 
   parallel_tasks(strips, strips, [&](size_t t, size_t /*worker*/) {
     StripExtent ext;
@@ -1337,11 +1364,20 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
     ext.end = std::min(data.size(),
                        (ext.first_tile + ext.tile_count) * kCodesPerTile);
     telemetry::Span span(sink, "fused-strip");
-    size_t sat = 0, halo = 0;
-    run_fused_strip<T>(data, dims, inv, invf, fast, ops, ext,
-                       scratch.subspan(t * per_strip, per_strip), shuffled,
-                       byte_flags, bit_flags, &anchor, &sat, &halo);
-    saturated.fetch_add(sat, std::memory_order_relaxed);
+    TileSink tiles_out(
+        ops,
+        out.subspan(ext.first_tile * kTileWords, ext.tile_count * kTileWords),
+        compact ? std::span<u8>{}
+                : byte_flags.subspan(ext.first_tile * kBlocksPerTile,
+                                     ext.tile_count * kBlocksPerTile),
+        bit_flags.subspan(ext.first_tile * (kBlocksPerTile / 8),
+                          ext.tile_count * (kBlocksPerTile / 8)));
+    const size_t halo = run_fused_strip<T>(
+        data, dims, inv, invf, fast, ops, ext,
+        scratch.subspan(t * per_strip, per_strip), tiles_out, &anchor);
+    saturated.fetch_add(tiles_out.saturated(), std::memory_order_relaxed);
+    if (compact)
+      runs[t] = {ext.first_tile * kTileWords, tiles_out.blocks()};
     if (span.enabled()) {
       span.arg("strip", static_cast<double>(t));
       span.arg("halo_elems", static_cast<double>(halo));
@@ -1421,7 +1457,7 @@ FusedTileResult fused_quant_shuffle_mark_parallel(
     std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
   return fused_parallel_impl(data, dims, abs_eb, f32_fast, shuffled,
-                             byte_flags, bit_flags, scratch, plan, level,
+                             byte_flags, bit_flags, {}, scratch, plan, level,
                              sink);
 }
 
@@ -1431,8 +1467,26 @@ FusedTileResult fused_quant_shuffle_mark_parallel(
     std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
   return fused_parallel_impl(data, dims, abs_eb, f32_fast, shuffled,
-                             byte_flags, bit_flags, scratch, plan, level,
+                             byte_flags, bit_flags, {}, scratch, plan, level,
                              sink);
+}
+
+FusedTileResult fused_quant_encode_parallel(
+    FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<u32> blocks, std::span<u8> bit_flags,
+    std::span<FusedStripRun> runs, std::span<i64> scratch,
+    const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
+  return fused_parallel_impl(data, dims, abs_eb, f32_fast, blocks, {},
+                             bit_flags, runs, scratch, plan, level, sink);
+}
+
+FusedTileResult fused_quant_encode_parallel(
+    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<u32> blocks, std::span<u8> bit_flags,
+    std::span<FusedStripRun> runs, std::span<i64> scratch,
+    const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
+  return fused_parallel_impl(data, dims, abs_eb, f32_fast, blocks, {},
+                             bit_flags, runs, scratch, plan, level, sink);
 }
 
 void prequantize_simd(FloatSpan data, double eb, std::span<i64> out,

@@ -194,4 +194,37 @@ FusedTileResult fused_quant_shuffle_mark_parallel(
     const FusedParallelPlan& plan, SimdLevel level,
     telemetry::Sink* sink = nullptr);
 
+/// One strip's output of fused_quant_encode_parallel: `blocks` nonzero
+/// 16-byte blocks, in tile order, starting at word `offset` of the block
+/// buffer.  The runs concatenated in strip order are the stream's block
+/// section.
+struct FusedStripRun {
+  size_t offset = 0;
+  size_t blocks = 0;
+};
+
+/// The codec's compress pass: the same strips as
+/// fused_quant_shuffle_mark_parallel, but each tile is transposed and
+/// marked in an L1 buffer and only its nonzero blocks are written.  Strip t
+/// appends them from the start of its own tiles in `blocks` (total_words
+/// u32, the size of the expanded shuffled array, so strips never overlap)
+/// and reports them in runs[t]; `runs` holds plan.strips entries (trailing
+/// ones empty when the plan folds).  `bit_flags` is written in full, as by
+/// the expanded kernel.  This removes the global prefix sum and the
+/// shuffled-array round trip of compact_blocks: the runs plus `bit_flags`
+/// equal fused_quant_shuffle_mark_parallel + compact_blocks byte for byte
+/// (pinned by tests/test_fused_parallel.cpp).
+FusedTileResult fused_quant_encode_parallel(
+    FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<u32> blocks, std::span<u8> bit_flags,
+    std::span<FusedStripRun> runs, std::span<i64> scratch,
+    const FusedParallelPlan& plan, SimdLevel level,
+    telemetry::Sink* sink = nullptr);
+FusedTileResult fused_quant_encode_parallel(
+    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<u32> blocks, std::span<u8> bit_flags,
+    std::span<FusedStripRun> runs, std::span<i64> scratch,
+    const FusedParallelPlan& plan, SimdLevel level,
+    telemetry::Sink* sink = nullptr);
+
 }  // namespace fz

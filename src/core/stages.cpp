@@ -36,6 +36,8 @@ void PipelineContext::begin_compress(BufferPool* p, const FzParams& run_params,
   radius = 0;
   outliers.clear();
   nonzero_blocks = 0;
+  run_words = {};
+  block_runs.clear();
   stats = {};
 }
 
@@ -88,12 +90,38 @@ void PipelineContext::release_scratch() {
 
 namespace {
 
+constexpr const char* kNonFiniteInput =
+    "input contains NaN/Inf; error-bounded compression requires finite data";
+
+template <typename T>
+double finite_value_range_impl(std::span<const T> data) {
+  const FiniteMinmax<T> r = parallel_finite_minmax(data);
+  FZ_REQUIRE(r.finite, kNonFiniteInput);
+  const double range = static_cast<double>(r.hi) - static_cast<double>(r.lo);
+  // Degenerate constant field: scale the relative bound by the value
+  // magnitude instead (any positive bound reproduces it exactly anyway).
+  return range > 0 ? range
+                   : std::max(std::fabs(static_cast<double>(r.hi)), 1.0);
+}
+
+}  // namespace
+
+double finite_value_range(FloatSpan data) {
+  return finite_value_range_impl(data);
+}
+
+double finite_value_range(std::span<const f64> data) {
+  return finite_value_range_impl(data);
+}
+
+namespace {
+
 // ---- compression stages -----------------------------------------------------
 
 /// Validate the input (NaN/Inf-free), resolve the error bound, and apply
-/// the optional log transform.  All three full-data walks run through the
-/// OpenMP reductions in common/parallel.hpp — they used to be serial scans
-/// on the hot path.
+/// the optional log transform.  The input is read once for validation
+/// (plus the value range, in relative mode) and once more only for the log
+/// transform; both walks are OpenMP reductions (common/parallel.hpp).
 class ResolveTransformStage final : public Stage {
  public:
   const char* name() const override { return "resolve-transform"; }
@@ -110,32 +138,24 @@ class ResolveTransformStage final : public Stage {
   template <typename T>
   static void run_impl(PipelineContext& ctx) {
     const std::span<const T> data = ctx.input_as<T>();
-    FZ_REQUIRE(parallel_all_finite(data),
-               "input contains NaN/Inf; error-bounded compression requires "
-               "finite data");
+    const ErrorBound& eb = ctx.params.eb;
+    if (eb.mode == ErrorBoundMode::Relative) {
+      ctx.abs_eb = eb.resolve(finite_value_range(data));
+    } else {
+      FZ_REQUIRE(parallel_all_finite(data), kNonFiniteInput);
+      if (eb.mode == ErrorBoundMode::Absolute) {
+        ctx.abs_eb = eb.value;
+      } else {
+        // Point-wise relative, realized via the log transform: an absolute
+        // bound of log(1+rel) on log-space data bounds each value's
+        // relative error by rel.
+        FZ_REQUIRE(eb.value > 0 && eb.value < 1,
+                   "point-wise relative bound must be in (0, 1)");
+        ctx.abs_eb = std::log1p(eb.value);
+      }
+    }
     ctx.stats.count = data.size();
     ctx.stats.input_bytes = data.size() * sizeof(T);
-
-    const ErrorBound& eb = ctx.params.eb;
-    if (eb.mode == ErrorBoundMode::Absolute) {
-      ctx.abs_eb = eb.value;
-    } else if (eb.mode == ErrorBoundMode::PointwiseRelative) {
-      // Realized via the log transform: an absolute bound of log(1+rel) on
-      // log-space data bounds each value's relative error by rel.
-      FZ_REQUIRE(eb.value > 0 && eb.value < 1,
-                 "point-wise relative bound must be in (0, 1)");
-      ctx.abs_eb = std::log1p(eb.value);
-    } else {
-      const auto [lo, hi] = parallel_minmax(data);
-      double range = static_cast<double>(hi) - static_cast<double>(lo);
-      if (range <= 0) {
-        // Degenerate constant field: scale the relative bound by the value
-        // magnitude instead (any positive bound reproduces it exactly
-        // anyway).
-        range = std::max(std::fabs(static_cast<double>(hi)), 1.0);
-      }
-      ctx.abs_eb = eb.resolve(range);
-    }
     ctx.stats.abs_eb = ctx.abs_eb;
     FZ_REQUIRE(ctx.abs_eb > 0, "resolved error bound must be positive");
 
@@ -227,11 +247,32 @@ class BitshuffleMarkStage final : public Stage {
   }
 };
 
+/// Prefix-sum offsets + block compaction of the full shuffled array into
+/// the `blocks` lease (encode phase 2): one run for AssembleStage.
+void encode_shuffled_blocks(PipelineContext& ctx) {
+  const size_t nblocks = ctx.total_blocks();
+  ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
+  ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
+  ctx.scan_scratch = ctx.pool->acquire(
+      2 * scan_chunk_count(nblocks) * sizeof(u32), false);
+  ctx.blocks = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
+  ctx.nonzero_blocks = compact_blocks(
+      ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(), ctx.flags32.as<u32>(),
+      ctx.offsets.as<u32>(), ctx.scan_scratch.as<u32>(), ctx.blocks.as<u32>());
+  ctx.run_words = ctx.blocks.as<u32>();
+  ctx.block_runs.assign(1, FusedStripRun{0, ctx.nonzero_blocks});
+}
+
 /// The fused host pipeline (paper §3.4's fusion idea applied to the whole
 /// compress hot path): pre-quantize + Lorenzo + residual encode + tile
-/// bitshuffle + zero-block mark in one pass over the input, tile by tile.
-/// Replaces DualQuantStage + BitshuffleMarkStage; the i64 pre-quant array
-/// never exists, only O(row)/O(plane) rolling scratch.  V2 only.
+/// bitshuffle + zero-block mark + compaction in one pass over the input,
+/// tile by tile.  Replaces DualQuantStage + BitshuffleMarkStage +
+/// EncodeStage.  The strips are contiguous tile ranges, so the paper's
+/// global prefix sum shrinks to one block count per strip: each strip
+/// appends its nonzero blocks at its own cursor inside the `shuffled`
+/// lease, and AssembleStage concatenates the runs.  The i64 pre-quant
+/// array never exists (only O(row) / O(plane) rolling scratch), and no
+/// shuffled tile or byte flag reaches memory outside L1.  V2 only.
 class FusedQuantShuffleMarkStage final : public Stage {
  public:
   const char* name() const override { return "fused-quant-shuffle-mark"; }
@@ -241,12 +282,13 @@ class FusedQuantShuffleMarkStage final : public Stage {
                "fused graph supports V2 quantization only");
     const SimdLevel level = resolve_simd(ctx.params.simd);
     ctx.shuffled = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
-    ctx.byte_flags = ctx.pool->acquire(ctx.total_blocks(), false);
     ctx.bit_flags = ctx.pool->acquire(div_ceil(ctx.total_blocks(), 8), false);
 
     FusedTileResult r;
     if (ctx.params.fused_serial_tiles) {
-      // Ablation / reference path: the pre-PR5 serial streaming pass.
+      // Ablation / reference path: the pre-PR5 serial streaming pass into
+      // the expanded arrays, then the unfused graph's compaction.
+      ctx.byte_flags = ctx.pool->acquire(ctx.total_blocks(), false);
       ctx.row_scratch = ctx.pool->acquire(
           fused_row_scratch_elems(ctx.dims) * sizeof(i64), false);
       const size_t plane_elems = fused_plane_scratch_elems(ctx.dims);
@@ -267,6 +309,7 @@ class FusedQuantShuffleMarkStage final : public Stage {
             ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
             ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plane, level);
       }
+      encode_shuffled_blocks(ctx);
     } else {
       // Tile-parallel strips with halo re-prequantization: one pooled lease
       // sliced per strip, byte-identical to the serial pass for every plan.
@@ -278,19 +321,22 @@ class FusedQuantShuffleMarkStage final : public Stage {
         fused_first_touch_strips(ctx.shuffled.bytes(), plan.strips);
       ctx.row_scratch =
           ctx.pool->acquire(plan.scratch_elems * sizeof(i64), false);
+      ctx.block_runs.resize(plan.strips);
       if (ctx.dtype == sizeof(f64)) {
-        r = fused_quant_shuffle_mark_parallel(
+        r = fused_quant_encode_parallel(
             source<f64>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f64_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan, level,
-            ctx.sink);
+            ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), ctx.block_runs,
+            ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
       } else {
-        r = fused_quant_shuffle_mark_parallel(
+        r = fused_quant_encode_parallel(
             source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plan, level,
-            ctx.sink);
+            ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), ctx.block_runs,
+            ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
       }
+      ctx.run_words = ctx.shuffled.as<u32>();
+      ctx.nonzero_blocks = 0;
+      for (const FusedStripRun& run : ctx.block_runs)
+        ctx.nonzero_blocks += run.blocks;
     }
     ctx.anchor = r.anchor;
     ctx.stats.saturated = r.saturated;
@@ -310,21 +356,7 @@ class EncodeStage final : public Stage {
  public:
   const char* name() const override { return "prefix-sum-encode"; }
 
-  void run(PipelineContext& ctx) const override {
-    const size_t nblocks = ctx.total_blocks();
-    ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.scan_scratch = ctx.pool->acquire(
-        2 * scan_chunk_count(nblocks) * sizeof(u32), false);
-    ctx.blocks =
-        ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
-    ctx.nonzero_blocks = compact_blocks(
-        ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(), ctx.flags32.as<u32>(),
-        ctx.offsets.as<u32>(), ctx.scan_scratch.as<u32>(),
-        ctx.blocks.as<u32>());
-    ctx.stats.total_blocks = nblocks;
-    ctx.stats.nonzero_blocks = ctx.nonzero_blocks;
-  }
+  void run(PipelineContext& ctx) const override { encode_shuffled_blocks(ctx); }
 };
 
 /// Header + sections -> the self-describing output stream.
@@ -359,9 +391,10 @@ class AssembleStage final : public Stage {
     ByteWriter w(out);
     w.put(h);
     w.put_bytes(ctx.bit_flags.bytes());
-    w.put_bytes(ByteSpan{
-        reinterpret_cast<const u8*>(ctx.blocks.as<u32>().data()),
-        h.block_words * sizeof(u32)});
+    for (const FusedStripRun& run : ctx.block_runs)
+      w.put_bytes(ByteSpan{
+          reinterpret_cast<const u8*>(ctx.run_words.data() + run.offset),
+          run.blocks * kBlockWords * sizeof(u32)});
     for (const Outlier& o : ctx.outliers) {
       FZ_REQUIRE(o.index <= UINT32_MAX && o.delta >= INT32_MIN &&
                      o.delta <= INT32_MAX,
@@ -369,6 +402,8 @@ class AssembleStage final : public Stage {
       w.put<u32>(static_cast<u32>(o.index));
       w.put<i32>(static_cast<i32>(o.delta));
     }
+    ctx.stats.total_blocks = ctx.total_blocks();
+    ctx.stats.nonzero_blocks = ctx.nonzero_blocks;
     ctx.stats.compressed_bytes = out.size();
   }
 };
@@ -591,7 +626,6 @@ StageGraph make_compress_stages_fused() {
   StageGraph g;
   g.push_back(std::make_unique<ResolveTransformStage>());
   g.push_back(std::make_unique<FusedQuantShuffleMarkStage>());
-  g.push_back(std::make_unique<EncodeStage>());
   g.push_back(std::make_unique<AssembleStage>());
   return g;
 }

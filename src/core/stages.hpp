@@ -7,12 +7,19 @@
 // from a BufferPool so steady-state runs never allocate), and the
 // data-dependent results the next stage or the stream assembly needs.
 //
-// Compression graph (paper Fig. 1):
+// Compression graph (paper Fig. 1; the unfused graph):
 //   ResolveTransformStage   validate input, resolve eb, optional log x-form
 //   DualQuantStage          pre-quantize + Lorenzo + residual codes (3.2)
 //   BitshuffleMarkStage     tile bitshuffle + block flags (3.3/3.4 phase 1)
 //   EncodeStage             prefix-sum offsets + block compaction (3.4)
 //   AssembleStage           header + sections -> output stream
+//
+// The fused compress graph (the default for V2):
+//   ResolveTransformStage       as above; one read validates and ranges
+//   FusedQuantShuffleMarkStage  quantize + Lorenzo + encode + bitshuffle +
+//                               mark per tile per strip, appending only the
+//                               nonzero blocks at each strip's cursor
+//   AssembleStage               header + bit flags + strip runs in order
 //
 // Decompression mirrors it in reverse (the classic graph; V1 streams and
 // FzParams::fused_decompress = false):
@@ -39,6 +46,7 @@
 #include "common/pool.hpp"
 #include "common/types.hpp"
 #include "core/format.hpp"
+#include "core/kernels_simd.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
 
@@ -75,7 +83,7 @@ struct PipelineContext {
   PooledBuffer values;      ///< dtype[count]: log-transformed input copy
   PooledBuffer pq;          ///< i64[count]: pre-quantized / residuals
   PooledBuffer codes;       ///< u16[padded_codes()]
-  PooledBuffer shuffled;    ///< u32[total_words()]
+  PooledBuffer shuffled;    ///< u32[total_words()]; fused: strip block runs
   PooledBuffer byte_flags;  ///< u8[total_blocks()]
   PooledBuffer bit_flags;   ///< u8[ceil(total_blocks()/8)]
   PooledBuffer flags32;     ///< u32[total_blocks()]: scan input
@@ -90,6 +98,12 @@ struct PipelineContext {
   u32 radius = 0;
   std::vector<Outlier> outliers;  ///< V1 only; capacity reused across runs
   size_t nonzero_blocks = 0;
+  /// Compression: the nonzero-block runs AssembleStage writes, in stream
+  /// order, as word offsets into `run_words` — one run per strip on the
+  /// fused path (into `shuffled`), a single run into `blocks` otherwise.
+  /// Capacity reused across runs.
+  std::span<const u32> run_words;
+  std::vector<FusedStripRun> block_runs;
   FzStats stats;
 
   /// Codes are padded with zeros to a whole number of 4096-byte tiles: the
@@ -135,15 +149,23 @@ class Stage {
 
 using StageGraph = std::vector<std::unique_ptr<Stage>>;
 
+/// Validate a field and measure the value range a relative error bound
+/// scales by, in one parallel read (parallel_finite_minmax).  Throws on
+/// NaN/Inf; a constant field's zero range maps to max(|value|, 1).
+double finite_value_range(FloatSpan data);
+double finite_value_range(std::span<const f64> data);
+
 /// Build the compression / decompression stage graphs (see file comment).
 StageGraph make_compress_stages();
 StageGraph make_decompress_stages();
 
 /// The fused-host compression graph: DualQuantStage + BitshuffleMarkStage
-/// are replaced by one FusedQuantShuffleMarkStage that streams the input
-/// through cache-resident tiles (core/kernels_simd.hpp), never
-/// materializing the i64 pre-quant array.  V2 quantization only; the
-/// output stream is byte-identical to make_compress_stages().
+/// + EncodeStage are replaced by one FusedQuantShuffleMarkStage that
+/// streams the input through cache-resident tiles (core/kernels_simd.hpp)
+/// and compacts each tile's nonzero blocks as it flushes, never
+/// materializing the i64 pre-quant array, the shuffled array or the block
+/// offsets.  V2 quantization only; the output stream is byte-identical to
+/// make_compress_stages().
 StageGraph make_compress_stages_fused();
 
 /// The fused decompress graph: ScatterUnshuffleStage + InverseQuantStage

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <new>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -238,6 +240,49 @@ TEST(Codec, ScratchIsReleasedEvenWhenARunThrows) {
   // The codec stays usable after the failure.
   codec.decompress_into(c.bytes, out);
   EXPECT_TRUE(error_bounded(f.values(), out, c.stats.abs_eb));
+}
+
+TEST(Codec, NonFiniteInputRejectedWithTheSameMessageInEveryMode) {
+  // Relative mode validates inside the range reduction; absolute and
+  // point-wise modes run the finiteness test alone.  All three (and the
+  // chunked container's whole-field range) reject NaN/Inf identically.
+  const std::string want =
+      "input contains NaN/Inf; error-bounded compression requires finite data";
+  auto message_of = [](auto&& fn) -> std::string {
+    try {
+      fn();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  const Field f = noisy_field(Dims{64, 40}, 31);
+  for (const f32 bad : {std::numeric_limits<f32>::quiet_NaN(),
+                        std::numeric_limits<f32>::infinity()}) {
+    std::vector<f32> data = f.data;
+    for (auto& x : data) x = std::fabs(x) + 1.0f;  // point-wise needs > 0
+    data[data.size() / 2] = bad;
+    const std::vector<f64> wide(data.begin(), data.end());
+    for (const ErrorBound eb :
+         {ErrorBound::relative(1e-3), ErrorBound::absolute(1e-2),
+          ErrorBound::pointwise_relative(1e-3)}) {
+      FzParams params;
+      params.eb = eb;
+      Codec codec(params);
+      const std::string narrow_msg =
+          message_of([&] { codec.compress(data, f.dims); });
+      EXPECT_NE(narrow_msg.find(want), std::string::npos) << narrow_msg;
+      const std::string wide_msg = message_of(
+          [&] { codec.compress(std::span<const f64>{wide}, f.dims); });
+      EXPECT_NE(wide_msg.find(want), std::string::npos) << wide_msg;
+      EXPECT_EQ(codec.pool().stats().leased_buffers, 0u);
+    }
+    ChunkedParams chunked;
+    chunked.num_chunks = 4;
+    const std::string chunked_msg = message_of(
+        [&] { fz_compress_chunked(data, f.dims, chunked); });
+    EXPECT_NE(chunked_msg.find(want), std::string::npos) << chunked_msg;
+  }
 }
 
 TEST(ChunkedParallel, OutputIsIndependentOfWorkerCount) {

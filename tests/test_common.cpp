@@ -214,19 +214,55 @@ TEST(Parallel, TasksPropagateExceptions) {
                Error);
 }
 
-TEST(Parallel, MinmaxMatchesSerialScan) {
+TEST(Parallel, FiniteMinmaxMatchesSerialScan) {
   Rng rng(7);
   std::vector<f32> v(10001);
   for (auto& x : v) x = static_cast<f32>(rng.uniform(-50, 50));
   v[1234] = -100.0f;
   v[8888] = 175.5f;
-  const auto [lo, hi] = parallel_minmax(std::span<const f32>{v});
-  EXPECT_EQ(lo, -100.0f);
-  EXPECT_EQ(hi, 175.5f);
-  const auto [slo, shi] = parallel_minmax(std::span<const f32>{v.data(), 1});
-  EXPECT_EQ(slo, v[0]);
-  EXPECT_EQ(shi, v[0]);
-  EXPECT_THROW(parallel_minmax(std::span<const f32>{}), Error);
+  const auto r = parallel_finite_minmax(std::span<const f32>{v});
+  EXPECT_TRUE(r.finite);
+  EXPECT_EQ(r.lo, -100.0f);
+  EXPECT_EQ(r.hi, 175.5f);
+  const auto one = parallel_finite_minmax(std::span<const f32>{v.data(), 1});
+  EXPECT_TRUE(one.finite);
+  EXPECT_EQ(one.lo, v[0]);
+  EXPECT_EQ(one.hi, v[0]);
+  EXPECT_THROW(parallel_finite_minmax(std::span<const f32>{}), Error);
+
+  std::vector<f64> w(v.begin(), v.end());
+  const auto r64 = parallel_finite_minmax(std::span<const f64>{w});
+  EXPECT_TRUE(r64.finite);
+  EXPECT_EQ(r64.lo, -100.0);
+  EXPECT_EQ(r64.hi, 175.5);
+}
+
+template <typename T>
+void expect_finite_minmax_rejects_non_finite() {
+  const T specials[] = {std::numeric_limits<T>::quiet_NaN(),
+                        std::numeric_limits<T>::infinity(),
+                        -std::numeric_limits<T>::infinity()};
+  const size_t n = 4099;  // not a multiple of any vector width
+  for (const T bad : specials) {
+    for (const size_t at : {size_t{0}, n / 2, n - 1}) {
+      std::vector<T> v(n, T(1.5));
+      v[at] = bad;
+      EXPECT_FALSE(parallel_finite_minmax(std::span<const T>{v}).finite)
+          << "value " << bad << " at index " << at;
+      EXPECT_FALSE(parallel_all_finite(std::span<const T>{v}))
+          << "value " << bad << " at index " << at;
+    }
+    const std::vector<T> single{bad};
+    EXPECT_FALSE(parallel_finite_minmax(std::span<const T>{single}).finite);
+  }
+}
+
+TEST(Parallel, FiniteMinmaxDetectsNaNAndInfF32) {
+  expect_finite_minmax_rejects_non_finite<f32>();
+}
+
+TEST(Parallel, FiniteMinmaxDetectsNaNAndInfF64) {
+  expect_finite_minmax_rejects_non_finite<f64>();
 }
 
 TEST(Parallel, AllFiniteDetectsNaNAndInf) {

@@ -211,5 +211,46 @@ TEST(CostModel, HaloRecomputeTermScalesWithStripsAndStencilReach) {
             serial.global_bytes_read / 100);
 }
 
+TEST(CostModel, FusedEncodeReadsInputOnceAndWritesOnlyTheStreamSections) {
+  // The compacting pass reads the input (plus the strip halo) in its own
+  // dtype and writes the packed bit flags and the nonzero blocks — no
+  // shuffled array, byte flags or scan arrays.
+  const size_t n = size_t{1} << 20;
+  const Dims dims{512, 2048};
+  const FzStats st = stats_for(n, 0.3);
+  const u64 flags = st.total_blocks / 8;
+  const u64 payload = static_cast<u64>(st.nonzero_blocks) * 16;
+
+  const cudasim::CostSheet one = fz_fused_encode_cost(st, dims, 1);
+  EXPECT_EQ(one.global_bytes_read, n * 4);
+  EXPECT_EQ(one.global_bytes_written, flags + payload);
+  EXPECT_EQ(one.kernel_launches, 1u);
+
+  const u64 halo = fz_halo_recompute_elems(dims, 4);
+  EXPECT_EQ(halo, 3u * 513);
+  const cudasim::CostSheet four = fz_fused_encode_cost(st, dims, 4);
+  EXPECT_EQ(four.global_bytes_read, n * 4 + halo * 4);
+  EXPECT_EQ(four.global_bytes_written, flags + payload);
+  EXPECT_GT(four.thread_ops, one.thread_ops);
+
+  FzStats st64 = st;
+  st64.input_bytes = n * 8;
+  EXPECT_EQ(fz_fused_encode_cost(st64, dims, 4).global_bytes_read,
+            n * 8 + halo * 8);
+
+  // Against the expanded kernel + the device encode stage it replaces: the
+  // expanded sheet writes the whole shuffled array and byte flags, and the
+  // encode sheet re-reads them.
+  const cudasim::CostSheet expanded = fz_fused_parallel_cost(st, dims, 4);
+  const size_t words = n / 2;
+  EXPECT_EQ(expanded.global_bytes_written - four.global_bytes_written,
+            words * 4 + st.total_blocks - payload);
+  FzParams params;
+  const cudasim::CostSheet encode = fz_compression_costs(st, params).back();
+  ASSERT_EQ(encode.name, "prefix-sum-encode");
+  EXPECT_LT(four.global_bytes(),
+            expanded.global_bytes() + encode.global_bytes());
+}
+
 }  // namespace
 }  // namespace fz

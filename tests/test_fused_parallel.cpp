@@ -20,7 +20,9 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "core/bitshuffle.hpp"
+#include "core/chunked.hpp"
 #include "core/codec.hpp"
+#include "core/encoder.hpp"
 #include "core/kernels_simd.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -216,6 +218,197 @@ TEST(FusedParallel, EmitsOneTelemetrySpanPerStrip) {
   EXPECT_GE(halo_total, (plan.strips - 1) * dims.x);
   EXPECT_LE(halo_total, plan.halo_elems);
   EXPECT_GE(bytes_total, dims.count() * sizeof(f32));
+}
+
+// ---- compacting strips (fused_quant_encode_parallel) ----------------------
+
+struct CompactOut {
+  std::vector<u8> bit_flags;
+  std::vector<u32> blocks;  ///< the strip runs, concatenated in strip order
+  FusedTileResult res;
+};
+
+template <typename T>
+CompactOut run_compacting(std::span<const T> data, Dims dims, double eb,
+                          bool fast, size_t workers, SimdLevel level) {
+  const size_t words = round_up(data.size(), kCodesPerTile) / 2;
+  const FusedParallelPlan plan = fused_parallel_plan(dims, workers);
+  std::vector<u32> out(words, 0xdeadbeefu);
+  std::vector<FusedStripRun> runs(plan.strips, FusedStripRun{7, 7});
+  std::vector<i64> scratch(plan.scratch_elems, -1);
+  CompactOut o;
+  o.bit_flags.assign(div_ceil(words / kBlockWords, 8), 0xcd);
+  o.res = fused_quant_encode_parallel(data, dims, eb, fast, out, o.bit_flags,
+                                      runs, scratch, plan, level);
+  // Each run starts at its strip's first tile and fits inside its tiles.
+  const size_t tiles = words / kTileWords;
+  const size_t tiles_per = div_ceil(tiles, plan.strips);
+  for (size_t t = 0; t < runs.size(); ++t) {
+    EXPECT_EQ(runs[t].offset, t * tiles_per * kTileWords) << "strip " << t;
+    EXPECT_LE(runs[t].offset + runs[t].blocks * kBlockWords, words);
+    o.blocks.insert(o.blocks.end(), out.begin() + runs[t].offset,
+                    out.begin() + runs[t].offset +
+                        runs[t].blocks * kBlockWords);
+  }
+  return o;
+}
+
+/// The expanded kernel + the global prefix-sum compaction it replaces.
+template <typename T>
+CompactOut run_expanded_then_compact(std::span<const T> data, Dims dims,
+                                     double eb, bool fast, SimdLevel level) {
+  const size_t words = round_up(data.size(), kCodesPerTile) / 2;
+  const FusedParallelPlan plan = fused_parallel_plan(dims, 2);
+  std::vector<u32> shuffled(words);
+  std::vector<u8> byte_flags(words / kBlockWords);
+  std::vector<i64> scratch(plan.scratch_elems);
+  CompactOut o;
+  o.bit_flags.resize(div_ceil(byte_flags.size(), 8));
+  o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, fast, shuffled,
+                                            byte_flags, o.bit_flags, scratch,
+                                            plan, level);
+  compact_blocks(shuffled, byte_flags, o.blocks);
+  return o;
+}
+
+template <typename T>
+void check_compaction_matches(const std::vector<T>& data, Dims dims,
+                              double eb, const std::string& label) {
+  const std::span<const T> span{data};
+  for (const SimdLevel level : levels_under_test()) {
+    for (const bool fast : {false, true}) {
+      const CompactOut want =
+          run_expanded_then_compact(span, dims, eb, fast, level);
+      for (const size_t workers :
+           {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+        const CompactOut got =
+            run_compacting(span, dims, eb, fast, workers, level);
+        const std::string where = label + " " + simd_level_name(level) +
+                                  (fast ? " fast" : " exact") + " workers " +
+                                  std::to_string(workers);
+        ASSERT_EQ(want.bit_flags, got.bit_flags) << where;
+        ASSERT_EQ(want.blocks, got.blocks) << where;
+        EXPECT_EQ(want.res.anchor, got.res.anchor) << where;
+        EXPECT_EQ(want.res.saturated, got.res.saturated) << where;
+      }
+    }
+  }
+}
+
+std::string dims_label(Dims dims) {
+  return std::to_string(dims.x) + "x" + std::to_string(dims.y) + "x" +
+         std::to_string(dims.z);
+}
+
+// Shapes for the compaction sweep: every rank, a single full tile, a
+// single partial tile, and sizes ending mid-tile.
+const Dims kCompactDims[] = {Dims{5000},   Dims{2048},      Dims{700},
+                             Dims{64, 256}, Dims{40, 30},   Dims{96, 41},
+                             Dims{24, 20, 20}, Dims{32, 24, 24},
+                             Dims{9, 7, 5}};
+
+TEST(FusedCompaction, MatchesExpandedKernelPlusCompactBlocksF32) {
+  for (const Dims dims : kCompactDims)
+    check_compaction_matches(field<f32>(dims, 501 + dims.count()), dims, 1e-3,
+                             "f32 " + dims_label(dims));
+}
+
+TEST(FusedCompaction, MatchesExpandedKernelPlusCompactBlocksF64) {
+  for (const Dims dims : kCompactDims)
+    check_compaction_matches(field<f64>(dims, 701 + dims.count()), dims, 1e-3,
+                             "f64 " + dims_label(dims));
+}
+
+TEST(FusedCompaction, MatchesOnLogTransformedStream) {
+  // The point-wise relative mode feeds the pass log(d) with bound
+  // log(1 + rel).
+  for (const Dims dims : {Dims{5000}, Dims{64, 256}, Dims{24, 20, 20}}) {
+    auto data = field<f32>(dims, 901 + dims.count());
+    for (auto& x : data) x = std::log(std::fabs(x) + 1.0f);
+    check_compaction_matches(data, dims, std::log1p(1e-3),
+                             "log " + dims_label(dims));
+  }
+}
+
+TEST(FusedCompaction, StripsWithNoNonzeroBlocks) {
+  // A constant field's Lorenzo residuals are all zero (the anchor rides
+  // the header): every strip's run is empty.
+  const Dims cube{32, 24, 24};
+  const std::vector<f32> constant(cube.count(), 3.25f);
+  check_compaction_matches(constant, cube, 1e-3, "constant");
+  const CompactOut c = run_compacting(std::span<const f32>{constant}, cube,
+                                      1e-3, false, 8, SimdLevel::Scalar);
+  EXPECT_TRUE(c.blocks.empty());
+
+  // RTM-like: the wavefield is exactly zero in the leading planes, so the
+  // first strips compact to nothing while later ones carry the blocks.
+  const Dims rtm{32, 32, 40};
+  std::vector<f32> wave = field<f32>(rtm, 1234);
+  std::fill(wave.begin(), wave.begin() + 24 * rtm.x * rtm.y, 0.0f);
+  check_compaction_matches(wave, rtm, 1e-3, "rtm-like");
+  const FusedParallelPlan plan = fused_parallel_plan(rtm, 8);
+  ASSERT_GT(plan.strips, 2u);
+  const size_t words = round_up(rtm.count(), kCodesPerTile) / 2;
+  std::vector<u32> out(words);
+  std::vector<u8> bit_flags(div_ceil(words / kBlockWords, 8));
+  std::vector<FusedStripRun> runs(plan.strips);
+  std::vector<i64> scratch(plan.scratch_elems);
+  fused_quant_encode_parallel(std::span<const f32>{wave}, rtm, 1e-3, false,
+                              out, bit_flags, runs, scratch, plan,
+                              resolve_simd());
+  EXPECT_EQ(runs.front().blocks, 0u);
+  EXPECT_GT(runs.back().blocks, 0u);
+}
+
+TEST(FusedCompaction, CodecStreamsMatchUnfusedGraph) {
+  // The fused graph (compacting strips) against the unfused five-stage
+  // graph, across ranks, dtypes, bound modes, fast-quant and workers.
+  for (const Dims dims : {Dims{5000}, Dims{96, 41}, Dims{32, 24, 24}}) {
+    auto data = field<f32>(dims, 77 + dims.count());
+    for (auto& x : data) x = std::fabs(x) + 0.5f;  // point-wise needs > 0
+    const std::vector<f64> wide(data.begin(), data.end());
+    for (const ErrorBound eb :
+         {ErrorBound::relative(1e-3), ErrorBound::absolute(1e-2),
+          ErrorBound::pointwise_relative(1e-3)}) {
+      for (const bool fast : {false, true}) {
+        FzParams unfused;
+        unfused.eb = eb;
+        unfused.fused_host_graph = false;
+        unfused.f32_fast_quant = fast;
+        unfused.f64_fast_quant = fast;
+        Codec cu(unfused);
+        const std::vector<u8> want32 = cu.compress(data, dims).bytes;
+        const std::vector<u8> want64 =
+            cu.compress(std::span<const f64>{wide}, dims).bytes;
+        for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+          FzParams fused = unfused;
+          fused.fused_host_graph = true;
+          fused.fused_workers = workers;
+          Codec cf(fused);
+          const std::string where = dims_label(dims) + " workers " +
+                                    std::to_string(workers) +
+                                    (fast ? " fast" : " exact");
+          ASSERT_EQ(want32, cf.compress(data, dims).bytes) << where;
+          ASSERT_EQ(want64,
+                    cf.compress(std::span<const f64>{wide}, dims).bytes)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(FusedCompaction, ChunkedContainersMatchUnfusedGraph) {
+  const Dims dims{48, 40, 24};
+  const auto data = field<f32>(dims, 4242);
+  ChunkedParams unfused;
+  unfused.base.eb = ErrorBound::relative(1e-3);
+  unfused.base.fused_host_graph = false;
+  unfused.num_chunks = 5;
+  ChunkedParams fused = unfused;
+  fused.base.fused_host_graph = true;
+  EXPECT_EQ(fz_compress_chunked(data, dims, unfused).bytes,
+            fz_compress_chunked(data, dims, fused).bytes);
 }
 
 TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {

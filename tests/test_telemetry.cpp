@@ -77,11 +77,12 @@ TEST(Telemetry, FusedCompressEmitsOneSpanPerStage) {
 
   const auto counts = span_counts(sink);
   for (const char* stage : {"compress", "resolve-transform",
-                            "fused-quant-shuffle-mark", "prefix-sum-encode",
-                            "assemble"})
+                            "fused-quant-shuffle-mark", "assemble"})
     EXPECT_EQ(counts.at(stage), 1u) << stage;
   EXPECT_EQ(counts.count("dual-quant"), 0u);
   EXPECT_EQ(counts.count("bitshuffle-mark"), 0u);
+  // The strips compact their own blocks: no separate encode stage.
+  EXPECT_EQ(counts.count("prefix-sum-encode"), 0u);
 }
 
 TEST(Telemetry, DecompressAndF64EmitOneSpanPerStage) {
