@@ -16,7 +16,8 @@
 // BENCH_pr8.json), gated separately by scripts/bench_smoke.sh.
 //
 // PR10 adds the decompress mirror: end-to-end fused vs classic (staged)
-// decompression per dataset with byte-identity asserted on every timed run,
+// decompression per dataset — plus a 512×256×4 thin slab, the Reader chunk
+// shape — with byte-identity asserted on every timed run,
 // plus a 3-D z-carry chunked-scan thread sweep on a flat volume (the shape
 // whose y-extent is too small for the row-parallel path).  Those rows go to
 // a third report (default BENCH_pr10.json), gated by scripts/bench_smoke.sh.
@@ -373,7 +374,14 @@ int main(int argc, char** argv) {
   bool decomp_identical = true;
 
   bench::Table fd_table({"dataset", "fused GB/s", "classic GB/s", "ratio"});
-  for (const Field& f : benchmark_suite(scale, 42)) {
+  // Plus one thin slab at full size whatever the scale: a Reader chunk of
+  // the 512×256×256 Hurricane field cut in 64 (fewer planes than 4 per
+  // strip, so the decode splits it into row strips).
+  std::vector<Field> decomp_fields = benchmark_suite(scale, 42);
+  decomp_fields.push_back(
+      generate_field(Dataset::Hurricane, Dims{512, 256, 4}, 42));
+  decomp_fields.back().dataset += "-slab";
+  for (const Field& f : decomp_fields) {
     FzParams cp;
     cp.eb = ErrorBound::relative(1e-3);
     Codec compressor(cp);

@@ -73,7 +73,8 @@
 #     must return the exact serial bytes at every worker count (both zero
 #     tolerance),
 #   * the fused decompress pass must not lose to the classic graph on any
-#     tier-1 dataset (ratio < 0.95 on multi-core; 0.85 on a single-core box
+#     tier-1 dataset nor on the 512×256×4 thin slab (the Reader chunk
+#     shape) regress adds (ratio < 0.95 on multi-core; 0.85 on a single-core box
 #     where both graphs run serially and the comparison only carries clock
 #     noise — same bimodal-clock allowance as the PR8 gate),
 #   * the chunked z-carry scan at max workers must keep >= 0.95x the

@@ -37,6 +37,7 @@
 #                       and an explicit re-run of the fused-parallel
 #                       and fused-decompress schedule-independence suites
 #                       (thread-scaling byte-identity under the sanitizers)
+#                       and of the reader's concurrency tests
 #   6. tsan           — pool/codec/chunked/threading tests under
 #                       ThreadSanitizer (host-side concurrency)
 #   7. lint           — clang-tidy over src/ (.clang-tidy profile,
@@ -137,6 +138,9 @@ if [[ "${1:-}" != "--fast" ]]; then
   # The fused decode's strips re-decode the tile straddling each strip
   # edge and read the previous strip's last line: the out-of-bounds risk.
   build-asan/tests/test_fused_decompress
+  # Reader demand misses decode on the calling thread with leased codecs
+  # while prefetches decode on the pool: the concurrency tests again.
+  build-asan/tests/test_reader
   build-asan/tests/test_threading \
     --gtest_filter='Threading.SharedSinkAcrossFusedStripWorkers'
 

@@ -236,9 +236,35 @@ CostSheet fz_fused_decode_cost(const FzStats& st) {
   return c;
 }
 
+CostSheet fz_fused_decode_inplace_cost(const FzStats& st) {
+  const double n = static_cast<double>(st.count);
+  const size_t words = round_up(st.count, kTileBytes / sizeof(u16)) / 2;
+  const double w = static_cast<double>(words);
+  const u64 tiles = words / kTileWords;
+  const double blocks = static_cast<double>(st.total_blocks);
+
+  CostSheet c;
+  c.name = "fused-decode-inplace";
+  c.kernel_launches = 1;
+  // The bit flags, the (tiles + 1) tile offsets and the payload are read
+  // once, straight from the stream; the strip-local i64 values are
+  // written once.  No expanded flags, block offsets or payload copy.
+  c.global_bytes_read = static_cast<u64>(st.total_blocks) / 8 +
+                        (tiles + 1) * sizeof(u32) +
+                        static_cast<u64>(st.nonzero_blocks) * kBlockWords *
+                            sizeof(u32);
+  c.global_bytes_written = st.count * sizeof(i64);
+  // One popcount per 8 flag bytes, the per-block scatter, the inverse
+  // shuffle's ballot rounds, the two-op sign-magnitude decode per element.
+  c.thread_ops = static_cast<u64>(blocks / 64 + blocks * kCompactOpsPerBlock +
+                                  w * kBitshuffleOpsPerWord + n * 2);
+  c.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
+  return c;
+}
+
 CostSheet fz_fused_decode_into_cost(const FzStats& st) {
   const u64 n = st.count;
-  CostSheet c = fz_fused_decode_cost(st);
+  CostSheet c = fz_fused_decode_inplace_cost(st);
   c.name = "fused-decode-into";
   // The i64 staging is written once (pass 1) and read once (the carry +
   // dequantize write-out); the field is written once, in its own dtype.

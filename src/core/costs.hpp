@@ -66,12 +66,21 @@ cudasim::CostSheet fz_fused_encode_cost(const FzStats& st, Dims dims,
 /// words and u16 codes never touch DRAM.
 cudasim::CostSheet fz_fused_decode_cost(const FzStats& st);
 
-/// Modeled host cost of the whole fused decompress pass the codec runs
-/// (fused_decode_parallel, core/kernels_decode.hpp): fz_fused_decode_cost's
-/// section reads and i64 write, plus one read of that i64 staging and one
-/// output value of the stream's dtype (st.input_bytes) per element — the
-/// inverse Lorenzo and dequantize add no further DRAM round trip.  For
-/// f32 that is 20 B/value beyond the compressed sections.
+/// Modeled host cost of the fused decode's pass 1 as the codec runs it
+/// (fused_decode_parallel, core/kernels_decode.hpp), reading the stream
+/// in place: the packed bit flags, the (tiles + 1) u32 tile offsets from
+/// one popcount pass, and the nonzero payload are each read once, and the
+/// strip-local i64 values are written once.  Unlike fz_fused_decode_cost
+/// (the expanded scatter kernel), no u8/u32 expanded flags or per-block
+/// offsets are read.
+cudasim::CostSheet fz_fused_decode_inplace_cost(const FzStats& st);
+
+/// Modeled host cost of the whole fused decompress pass the codec runs:
+/// fz_fused_decode_inplace_cost's section reads and i64 write, plus one
+/// read of that i64 staging and one output value of the stream's dtype
+/// (st.input_bytes) per element — the inverse Lorenzo and dequantize add
+/// no further DRAM round trip.  For f32 that is 20 B/value beyond the
+/// compressed sections.
 cudasim::CostSheet fz_fused_decode_into_cost(const FzStats& st);
 
 /// Modeled cost of the segment-parallel gap-array Huffman decode

@@ -521,14 +521,16 @@ class InverseQuantStage final : public Stage {
 };
 
 /// The fused decompress hot path (the decode-side twin of
-/// FusedQuantShuffleMarkStage): recover block offsets once, then per strip
-/// of carry-axis lines scatter + inverse-bitshuffle + sign-magnitude
-/// decode + inverse Lorenzo tile by tile, and finally carry + dequantize
-/// straight into the caller's output (core/kernels_decode.hpp).  The
-/// shuffled-word and u16-code arrays never materialize and the i64 lease
-/// is written once and read once; the output is byte-identical to the
-/// unfused graph for every plan.  V2 streams only (V1's outlier patching
-/// needs the whole code array).
+/// FusedQuantShuffleMarkStage): popcount the bit flags into per-tile
+/// payload offsets (one serial pass), then per strip scatter straight from
+/// the stream's sections + inverse-bitshuffle + sign-magnitude decode +
+/// inverse Lorenzo tile by tile, and finally carry + dequantize straight
+/// into the caller's output (core/kernels_decode.hpp).  The block section
+/// is read in place (no alignment copy, no offset scan), the shuffled-word
+/// and u16-code arrays never materialize, and the i64 lease is written
+/// once and read once; the output is byte-identical to the unfused graph
+/// for every plan.  V2 streams only (V1's outlier patching needs the whole
+/// code array).
 class FusedDecodeStage final : public Stage {
  public:
   const char* name() const override { return "fused-decode"; }
@@ -536,42 +538,33 @@ class FusedDecodeStage final : public Stage {
   void run(PipelineContext& ctx) const override {
     FZ_REQUIRE(ctx.params.quant == QuantVersion::V2Optimized,
                "fused decompress supports V2 streams only");
-    const size_t nblocks = ctx.total_blocks();
-    ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
-    ctx.scan_scratch = ctx.pool->acquire(
-        2 * scan_chunk_count(nblocks) * sizeof(u32), false);
-    // The block section sits at an arbitrary byte offset in the stream;
-    // copy it into an aligned buffer before viewing it as u32.
-    ctx.blocks = ctx.pool->acquire(ctx.sec_blocks.size(), false);
-    if (!ctx.sec_blocks.empty())
-      std::memcpy(ctx.blocks.data(), ctx.sec_blocks.data(),
-                  ctx.sec_blocks.size());
-    decode_block_offsets(ctx.sec_bit_flags, ctx.blocks.as<u32>(),
-                         ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
-                         ctx.scan_scratch.as<u32>());
+    const size_t tiles = ctx.padded_codes() / kCodesPerTile;
+    ctx.offsets = ctx.pool->acquire((tiles + 1) * sizeof(u32), false);
+    decode_tile_offsets(ctx.sec_bit_flags, ctx.sec_blocks.size(),
+                        ctx.offsets.as<u32>());
 
     ctx.pq = ctx.pool->acquire(ctx.count * sizeof(i64), false);
-    const size_t strips =
-        fused_decode_strips(ctx.dims, ctx.params.fused_workers);
-    // Best-effort NUMA placement: touch each strip's staging slice in strip
-    // shape while the lease's pages are still uncommitted.
-    if (ctx.params.numa_first_touch && ctx.pq.fresh())
-      fused_first_touch_strips(ctx.pq.bytes(), strips);
+    const FusedDecodePlan plan =
+        fused_decode_plan(ctx.dims, ctx.params.fused_workers);
+    // Best-effort NUMA placement: touch each plane strip's staging slice
+    // in strip shape while the lease's pages are still uncommitted (a row
+    // strip's slices are interleaved across planes; leave those alone).
+    if (ctx.params.numa_first_touch && ctx.pq.fresh() && !plan.rows)
+      fused_first_touch_strips(ctx.pq.bytes(), plan.strips);
     if (ctx.dtype == sizeof(f64)) {
-      run_impl<f64>(ctx, strips);
+      run_impl<f64>(ctx, plan);
     } else {
-      run_impl<f32>(ctx, strips);
+      run_impl<f32>(ctx, plan);
     }
   }
 
  private:
   template <typename T>
-  static void run_impl(PipelineContext& ctx, size_t strips) {
-    fused_decode_parallel(ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
-                          ctx.blocks.as<u32>(), ctx.header,
+  static void run_impl(PipelineContext& ctx, const FusedDecodePlan& plan) {
+    fused_decode_parallel(ctx.sec_bit_flags, ctx.offsets.as<u32>(),
+                          ctx.sec_blocks, ctx.header,
                           ctx.params.f32_fast_quant, ctx.pq.as<i64>(),
-                          ctx.output_as<T>(), strips,
+                          ctx.output_as<T>(), plan,
                           resolve_simd(ctx.params.simd), ctx.sink);
   }
 };

@@ -30,9 +30,12 @@
 //
 // The fused decompress graph (the default for V2 streams):
 //   ParseHeaderStage        as above
-//   FusedDecodeStage        scatter + inverse bitshuffle + decode + inverse
-//                           Lorenzo per strip, then carry + dequantize +
-//                           inverse transform -> output
+//   FusedDecodeStage        per-tile payload offsets by popcount, then
+//                           scatter (from the stream, in place) + inverse
+//                           bitshuffle + decode + inverse Lorenzo per
+//                           strip (plane strips, or row strips spanning
+//                           every plane for thin slabs), then carry +
+//                           dequantize + inverse transform -> output
 //
 // fz::Codec (core/codec.hpp) owns a pool plus both graphs and is the
 // intended way to run them; fz_compress/fz_decompress are thin one-shot
@@ -87,7 +90,8 @@ struct PipelineContext {
   PooledBuffer byte_flags;  ///< u8[total_blocks()]
   PooledBuffer bit_flags;   ///< u8[ceil(total_blocks()/8)]
   PooledBuffer flags32;     ///< u32[total_blocks()]: scan input
-  PooledBuffer offsets;     ///< u32[total_blocks()]: scan output
+  PooledBuffer offsets;     ///< u32[total_blocks()]: scan output;
+                            ///< fused decode: u32[tiles + 1] tile offsets
   PooledBuffer scan_scratch;  ///< u32: blocked-scan chunk totals/offsets
   PooledBuffer blocks;      ///< u32: compacted blocks (worst case sized)
   PooledBuffer row_scratch;    ///< i64: fused pipeline rolling rows
@@ -169,11 +173,13 @@ StageGraph make_decompress_stages();
 StageGraph make_compress_stages_fused();
 
 /// The fused decompress graph: ScatterUnshuffleStage + InverseQuantStage
-/// + ReconstructStage are replaced by one FusedDecodeStage that scatters,
+/// + ReconstructStage are replaced by one FusedDecodeStage that reads the
+/// stream's flag and payload sections in place, scatters,
 /// inverse-bitshuffles, decodes and inverse-Lorenzo-scans tile by tile per
-/// strip, then dequantizes straight into the caller's output
-/// (core/kernels_decode.hpp) — the shuffled-word and u16-code arrays never
-/// materialize and the i64 staging is written once and read once.  V2
+/// strip (fused_decode_plan), then dequantizes straight into the caller's
+/// output (core/kernels_decode.hpp) — the block payload is never copied,
+/// the shuffled-word and u16-code arrays never materialize and the i64
+/// staging is written once and read once.  At one worker nothing forks.  V2
 /// streams only (fz::Codec peeks the header and routes V1 streams to the
 /// unfused graph); the output is byte-identical to
 /// make_decompress_stages().

@@ -14,6 +14,9 @@ namespace fz {
 
 namespace {
 
+/// fetch()'s worker index for a demand decode on the calling thread.
+constexpr size_t kCaller = SIZE_MAX;
+
 size_t resolve_workers(size_t workers) {
   if (workers != 0) return workers;
   const unsigned n = std::thread::hardware_concurrency();
@@ -55,16 +58,19 @@ Reader::Reader(ByteSpan stream, ReaderOptions options)
       prefetcher_(options.max_prefetch),
       pool_(resolve_workers(options.workers)) {
   buffers_.set_telemetry(sink_);
-  FzParams params;
-  params.telemetry = sink_;
-  // One chunk per worker is the parallelism unit here; keep each decode's
-  // internal fan-out — the fused decode strips and the inverse-Lorenzo
-  // scans — single-strip so the pool never oversubscribes.  Chunk fetches
-  // still ride the fused decompress graph (one strip per fetch).
-  params.fused_workers = 1;
+  params_.telemetry = sink_;
+  // Prefetches run one chunk per pool worker, so each keeps its decode
+  // single-strip and the pool never oversubscribes.  A demand miss is
+  // decoded on the calling thread instead — it is what the caller waits
+  // for — and sets its codec's fused_workers per decode (load()), so one
+  // miss spreads its fused decode strips over every core.
+  params_.fused_workers = 1;
   codecs_.reserve(pool_.worker_count());
   for (size_t w = 0; w < pool_.worker_count(); ++w)
-    codecs_.push_back(std::make_unique<Codec>(params));
+    codecs_.push_back(std::make_unique<Codec>(params_));
+  // Reserved up front so returning a codec never grows the list under
+  // demand_mu_; codecs themselves are built outside the lock (fetch()).
+  demand_codecs_.reserve(pool_.worker_count());
 }
 
 Reader::~Reader() {
@@ -84,29 +90,37 @@ size_t Reader::chunk_at_elem(size_t elem) const {
   return static_cast<size_t>(it - info_.chunks.begin()) - 1;
 }
 
-ChunkCache::EntryPtr Reader::request(size_t id, bool prefetch) {
+ChunkCache::Lookup Reader::request(size_t id, bool prefetch) {
   ChunkCache::Lookup l = cache_.acquire(id, prefetch);
-  if (l.load) {
+  if (l.load && prefetch) {
     ChunkCache::EntryPtr entry = l.entry;
-    pool_.submit([this, id, entry, prefetch](size_t worker) {
-      fetch(id, entry, worker, prefetch);
+    pool_.submit([this, id, entry](size_t worker) {
+      fetch(id, entry, codecs_[worker], 1, worker);
     });
   }
-  return l.entry;
+  return l;
 }
 
-void Reader::fetch(size_t id, const ChunkCache::EntryPtr& entry, size_t worker,
-                   bool prefetch) {
+void Reader::fetch(size_t id, const ChunkCache::EntryPtr& entry,
+                   std::unique_ptr<Codec>& codec, size_t fused_workers,
+                   size_t worker) {
   const ChunkEntry& c = info_.chunks[id];
-  telemetry::Span span(sink_, "chunk-fetch");
-  span.arg("chunk", static_cast<double>(id));
-  span.arg("worker", static_cast<double>(worker));
-  span.arg("bytes_in", static_cast<double>(c.bytes));
-  span.arg("prefetch", prefetch ? 1 : 0);
+  const bool demand = worker == kCaller;
   try {
+    telemetry::Span span(sink_, "chunk-fetch");
+    if (span.enabled()) {
+      span.arg("chunk", static_cast<double>(id));
+      if (!demand) span.arg("worker", static_cast<double>(worker));
+      span.arg("bytes_in", static_cast<double>(c.bytes));
+      span.arg("prefetch", demand ? 0 : 1);
+      span.arg("demand", demand ? 1 : 0);
+      span.arg("fused_workers", static_cast<double>(fused_workers));
+    }
+    if (codec == nullptr) codec = std::make_unique<Codec>(params_);
+    codec->params().fused_workers = fused_workers;
     PooledBuffer buf =
         buffers_.acquire(c.dims.count() * sizeof(f32), /*zeroed=*/false);
-    const Dims got = codecs_[worker]->decompress_into(
+    const Dims got = codec->decompress_into(
         stream_.subspan(c.offset, c.bytes), buf.as<f32>());
     FZ_FORMAT_REQUIRE(got == c.dims,
                       "chunk stream dims disagree with the container index");
@@ -118,6 +132,54 @@ void Reader::fetch(size_t id, const ChunkCache::EntryPtr& entry, size_t worker,
     entry->error = std::current_exception();
   }
   cache_.publish(id, entry, c.dims.count() * sizeof(f32));
+}
+
+void Reader::load(size_t id, const ChunkCache::EntryPtr& entry) {
+  std::unique_ptr<Codec> codec;
+  {
+    const std::lock_guard<std::mutex> lock(demand_mu_);
+    if (!demand_codecs_.empty()) {
+      codec = std::move(demand_codecs_.back());
+      demand_codecs_.pop_back();
+    }
+  }
+  // Concurrent demand decodes split the cores between them.
+  const size_t in_flight = demand_in_flight_.fetch_add(1) + 1;
+  fetch(id, entry, codec, std::max<size_t>(1, pool_.worker_count() / in_flight),
+        kCaller);
+  demand_in_flight_.fetch_sub(1);
+  if (codec == nullptr) return;
+  {
+    const std::lock_guard<std::mutex> lock(demand_mu_);
+    // Within the capacity reserved in the constructor: no allocation.
+    if (demand_codecs_.size() < demand_codecs_.capacity())
+      demand_codecs_.push_back(std::move(codec));  // fzlint:allow(lock-discipline)
+  }
+  // A codec past the list's capacity is destroyed here, unlocked.
+}
+
+std::vector<ChunkCache::Lookup> Reader::acquire_range(size_t first,
+                                                     size_t last) {
+  std::vector<ChunkCache::Lookup> lookups;
+  lookups.reserve(last - first + 1);
+  // Decode every chunk this caller must load before waiting on anyone
+  // else's, so no caller ever waits while holding an unpublished load.
+  // load() never throws, so every load acquired gets published — also
+  // when a later lookup throws.
+  const auto load_owned = [&] {
+    for (size_t k = 0; k < lookups.size(); ++k)
+      if (lookups[k].load) load(first + k, lookups[k].entry);
+  };
+  try {
+    for (size_t id = first; id <= last; ++id)
+      lookups.push_back(request(id, false));
+  } catch (...) {
+    load_owned();
+    throw;
+  }
+  load_owned();
+  prefetch_after(first, last);
+  return lookups;
 }
 
 void Reader::prefetch_after(size_t first, size_t last) {
@@ -146,13 +208,9 @@ void Reader::read(const Slice& s, std::span<f32> out) {
   const size_t c0 = chunk_at_slow(s0);
   const size_t c1 = chunk_at_slow(s0 + sn - 1);
   span.arg("chunks", static_cast<double>(c1 - c0 + 1));
-  std::vector<ChunkCache::EntryPtr> entries;
-  entries.reserve(c1 - c0 + 1);
-  for (size_t id = c0; id <= c1; ++id) entries.push_back(request(id, false));
-  prefetch_after(c0, c1);
-  for (const ChunkCache::EntryPtr& entry : entries) {
-    cache_.wait_ready(entry);
-    assemble(s, *entry, out);
+  for (const ChunkCache::Lookup& l : acquire_range(c0, c1)) {
+    cache_.wait_ready(l.entry);
+    assemble(s, *l.entry, out);
   }
 }
 
@@ -171,14 +229,10 @@ void Reader::read_flat(size_t first, std::span<f32> out) {
   const size_t c0 = chunk_at_elem(first);
   const size_t c1 = chunk_at_elem(first + out.size() - 1);
   span.arg("chunks", static_cast<double>(c1 - c0 + 1));
-  std::vector<ChunkCache::EntryPtr> entries;
-  entries.reserve(c1 - c0 + 1);
-  for (size_t id = c0; id <= c1; ++id) entries.push_back(request(id, false));
-  prefetch_after(c0, c1);
-  for (const ChunkCache::EntryPtr& entry : entries) {
-    cache_.wait_ready(entry);
-    const std::span<const f32> src = entry->data.as<f32>();
-    const size_t b = entry->elem_offset;
+  for (const ChunkCache::Lookup& l : acquire_range(c0, c1)) {
+    cache_.wait_ready(l.entry);
+    const std::span<const f32> src = l.entry->data.as<f32>();
+    const size_t b = l.entry->elem_offset;
     const size_t lo = std::max(first, b);
     const size_t hi = std::min(first + out.size(), b + src.size());
     std::memcpy(out.data() + (lo - first), src.data() + (lo - b),

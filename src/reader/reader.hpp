@@ -15,16 +15,23 @@
 // produces.
 //
 // Concurrency contract: every public method may be called from any number
-// of threads concurrently.  Decodes run on the pool (one fz::Codec per
-// pool worker — the Codec threading contract); callers block only in the
+// of threads concurrently.  A demand miss — a chunk a read needs that no
+// one is loading yet — is decoded on the calling thread, fanned out over
+// the fused decode's strips (fused_workers = pool workers / demand decodes
+// in flight, at least 1) with a Codec leased from a small free list;
+// prefetches run on the pool, one single-strip fz::Codec per pool worker
+// (the Codec threading contract).  A caller decodes every chunk it must
+// load before it waits for any other, so callers block only in the
 // cache's wait, never inside a decode another caller needs.  The stream
 // bytes must stay alive and unchanged for the Reader's lifetime.
 //
 // Telemetry: with a sink attached, each read() records a "reader-read"
-// span, each pool decode a "chunk-fetch" span, and the cache ticks the
-// Counter::Reader* hit/miss/prefetch/eviction counters.
+// span, each chunk decode a "chunk-fetch" span (demand = 1 on the caller,
+// prefetch = 1 on a pool worker), and the cache ticks the Counter::Reader*
+// hit/miss/prefetch/eviction counters.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -97,13 +104,21 @@ class Reader {
   size_t chunk_at_slow(size_t slow) const;
   /// Chunk whose slab contains flat element index `elem`.
   size_t chunk_at_elem(size_t elem) const;
-  /// Cache lookup; on a miss, schedule the decode on the pool.  Returns the
-  /// (possibly not yet ready) entry for demand requests, nothing for
-  /// prefetches.
-  ChunkCache::EntryPtr request(size_t id, bool prefetch);
-  /// Pool worker body: decode chunk `id` into `entry` and publish it.
-  void fetch(size_t id, const ChunkCache::EntryPtr& entry, size_t worker,
-             bool prefetch);
+  /// Cache lookup; a prefetch miss schedules its decode on the pool, a
+  /// demand miss comes back with `load` set for the caller to decode.
+  ChunkCache::Lookup request(size_t id, bool prefetch);
+  /// Decode chunk `id` into `entry` with `codec` (built here when null) at
+  /// `fused_workers` strips, and publish it.  Never throws: a failure is
+  /// published as the entry's error.  `worker` is the pool worker index,
+  /// or kCaller for a demand decode on the calling thread.
+  void fetch(size_t id, const ChunkCache::EntryPtr& entry,
+             std::unique_ptr<Codec>& codec, size_t fused_workers,
+             size_t worker);
+  /// Demand decode of chunk `id` on the calling thread, on a leased codec.
+  void load(size_t id, const ChunkCache::EntryPtr& entry);
+  /// Look up chunks [first, last], decode the demand misses on this
+  /// thread, issue the prefetches, and return the lookups to wait on.
+  std::vector<ChunkCache::Lookup> acquire_range(size_t first, size_t last);
   /// Report the demand range to the prefetch policy and issue its picks.
   void prefetch_after(size_t first, size_t last);
   /// Copy the intersection of `s` and the chunk's slab into `out`.
@@ -121,7 +136,12 @@ class Reader {
   ChunkCache cache_;
   std::mutex prefetch_mu_;
   Prefetcher prefetcher_;
+  FzParams params_;  ///< codec parameters shared by every decode
   std::vector<std::unique_ptr<Codec>> codecs_;  ///< one per pool worker
+  /// Demand-decode codecs free list (capacity: one per pool worker).
+  std::mutex demand_mu_;
+  std::vector<std::unique_ptr<Codec>> demand_codecs_;
+  std::atomic<size_t> demand_in_flight_{0};
   ThreadPool pool_;
 };
 

@@ -3,7 +3,9 @@
 // structure is tested like any other component.
 #include <gtest/gtest.h>
 
+#include "common/bits.hpp"
 #include "core/costs.hpp"
+#include "core/format.hpp"
 #include "core/pipeline.hpp"
 #include "cudasim/device_model.hpp"
 #include "datasets/generators.hpp"
@@ -152,25 +154,42 @@ TEST(CostModel, FusedTileSheetDropsExactlyTheCodeRoundTrip) {
 }
 
 TEST(CostModel, FusedDecodeIntoStagesI64OnceAndWritesTheDtype) {
-  // The fused decompress pass reads the compressed sections (priced by
-  // the scatter-decode sheet), writes and re-reads the i64 staging once,
-  // and writes one output value: 8 + 8 + 4 = 20 B per f32 value, 24 for
-  // f64, beyond the sections.
+  // The fused decompress pass reads the stream's sections in place — the
+  // packed bit flags, one u32 offset per tile plus the total, and the
+  // nonzero payload — writes and re-reads the i64 staging once, and
+  // writes one output value: 8 + 8 + 4 = 20 B per f32 value, 24 for f64,
+  // beyond the sections.
   const size_t n = (1 << 20) + 12345;
   const FzStats st = stats_for(n, 0.3);
-  const cudasim::CostSheet scatter = fz_fused_decode_cost(st);
+  const u64 tiles = round_up(n, kCodesPerTile) / kCodesPerTile;
+  const u64 sections = st.total_blocks / 8 + (tiles + 1) * 4 +
+                       st.nonzero_blocks * 16;
+  const cudasim::CostSheet inplace = fz_fused_decode_inplace_cost(st);
+  EXPECT_EQ(inplace.global_bytes_read, sections);
+  EXPECT_EQ(inplace.global_bytes_written, n * 8);
+  EXPECT_EQ(inplace.kernel_launches, 1u);
+
   const cudasim::CostSheet into = fz_fused_decode_into_cost(st);
-  const u64 sections = scatter.global_bytes_read;
   EXPECT_EQ(into.global_bytes_read, sections + n * 8);
   EXPECT_EQ(into.global_bytes_written, n * 8 + n * 4);
   EXPECT_EQ(into.global_bytes(), sections + n * 20);
   EXPECT_EQ(into.kernel_launches, 1u);
-  EXPECT_GT(into.thread_ops, scatter.thread_ops);
+  EXPECT_GT(into.thread_ops, inplace.thread_ops);
 
   FzStats st64 = st;
   st64.input_bytes = n * sizeof(f64);
   EXPECT_EQ(fz_fused_decode_into_cost(st64).global_bytes(),
             sections + n * 24);
+
+  // Reading in place drops the expanded kernel's u8 flag bytes and u32
+  // per-block offsets: the in-place pass reads strictly less than
+  // fz_fused_decode_cost, which still prices that kernel.
+  const cudasim::CostSheet expanded = fz_fused_decode_cost(st);
+  EXPECT_EQ(expanded.global_bytes_read,
+            st.total_blocks + st.total_blocks / 8 + st.total_blocks * 4 +
+                st.nonzero_blocks * 16);
+  EXPECT_LT(inplace.global_bytes_read, expanded.global_bytes_read);
+  EXPECT_EQ(inplace.global_bytes_written, expanded.global_bytes_written);
 }
 
 TEST(CostModel, HaloRecomputeTermScalesWithStripsAndStencilReach) {

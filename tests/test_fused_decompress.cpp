@@ -3,9 +3,12 @@
 // + inverse Lorenzo + dequantize pass must reconstruct byte-identical
 // fields to the classic staged graph for EVERY worker count, SIMD tier,
 // dtype, rank, f32_fast_quant setting and transform — including strip
-// edges that fall mid-tile and one-line strips — and the 3-D z-carry
-// chunked inverse scans must be exact for every chunk split (i64 adds are
-// associative mod 2^64, so the partition never shows).  Also pins the
+// edges that fall mid-tile, one-line strips, row strips that span every
+// plane of a thin slab, and streams read in place at odd byte offsets;
+// corrupt flags and truncated payloads must fail with the classic graph's
+// messages — and the 3-D z-carry chunked inverse scans must be exact for
+// every chunk split (i64 adds are associative mod 2^64, so the partition
+// never shows).  Also pins the
 // per-strip telemetry spans, legacy-stream routing, the device-model
 // mirror (sim_fused_decode) and the split-plane halo windows, plus
 // end-to-end identity through fz::Reader chunk fetches and fz::Service
@@ -35,7 +38,6 @@
 #include "datasets/field.hpp"
 #include "reader/reader.hpp"
 #include "service/service.hpp"
-#include "substrate/scan.hpp"
 #include "telemetry/telemetry.hpp"
 
 // The cudasim device model drives thousands of simulated threads through
@@ -256,57 +258,206 @@ TEST(FusedDecompress, MatchesClassicAcrossStripEdgesFastQuantAndLogTransform) {
     }
 }
 
-/// The V2 sections of a single-field stream, expanded the way
-/// FusedDecodeStage does before calling the kernel.
-struct ParsedSections {
+/// The V2 sections of a single-field stream, read in place the way
+/// FusedDecodeStage does: the stream is copied `shift` bytes into a
+/// buffer, so a nonzero shift puts the flag and payload sections at odd
+/// byte addresses.
+struct StreamSections {
+  std::vector<u8> buffer;
   StreamHeader header{};
-  std::vector<u32> blocks, flags32, offsets;
+  ByteSpan bit_flags, blocks;
+  std::vector<u32> tile_offsets;
 };
 
-ParsedSections parse_sections(const FzCompressed& c) {
-  ParsedSections p;
-  std::memcpy(&p.header, c.bytes.data(), sizeof(StreamHeader));
+StreamSections in_place_sections(const FzCompressed& c, size_t shift = 0) {
+  StreamSections p;
+  p.buffer.assign(shift, 0xA5);
+  p.buffer.insert(p.buffer.end(), c.bytes.begin(), c.bytes.end());
+  const u8* stream = p.buffer.data() + shift;
+  std::memcpy(&p.header, stream, sizeof(StreamHeader));
   const StreamHeader& h = p.header;
-  const size_t nblocks =
-      round_up(h.count, kCodesPerTile) * sizeof(u16) / sizeof(u32) /
-      kBlockWords;
-  const size_t flag_off = sizeof(StreamHeader);
-  const size_t block_off = flag_off + h.bit_flag_bytes;
-  p.blocks.resize(h.block_words);
-  std::memcpy(p.blocks.data(), c.bytes.data() + block_off,
-              h.block_words * sizeof(u32));
-  p.flags32.resize(nblocks);
-  p.offsets.resize(nblocks);
-  std::vector<u32> scan(2 * scan_chunk_count(nblocks));
-  decode_block_offsets(ByteSpan(c.bytes.data() + flag_off, h.bit_flag_bytes),
-                       p.blocks, p.flags32, p.offsets, scan);
+  p.bit_flags = ByteSpan(stream + sizeof(StreamHeader), h.bit_flag_bytes);
+  p.blocks = ByteSpan(p.bit_flags.data() + h.bit_flag_bytes,
+                      h.block_words * sizeof(u32));
+  p.tile_offsets.resize(round_up(h.count, kCodesPerTile) / kCodesPerTile + 1);
+  EXPECT_EQ(decode_tile_offsets(p.bit_flags, p.blocks.size(), p.tile_offsets),
+            h.block_words / kBlockWords);
   return p;
 }
 
+/// Lines a plan of each kind may split: the carry axis for plane strips,
+/// the y-rows for row strips.
+size_t plan_lines(Dims dims, bool rows) {
+  if (rows) return dims.y;
+  return dims.rank() == 3 ? dims.z : (dims.rank() == 2 ? dims.y : dims.x);
+}
+
+template <typename T>
+void expect_kernel_exact(const StreamSections& p, Dims dims,
+                         const DecodeCase& dc, const std::vector<T>& want,
+                         const FusedDecodePlan& plan,
+                         const std::string& what) {
+  std::vector<i64> pq(dims.count());
+  std::vector<T> got(dims.count(), T(-1));
+  fused_decode_parallel(p.bit_flags, p.tile_offsets, p.blocks, p.header,
+                        dc.f32_fast, pq, std::span<T>{got}, plan,
+                        simd_supported());
+  expect_bits_equal<T>(got, want,
+                       what + dc.label() + (plan.rows ? " rows " : " planes ") +
+                           std::to_string(plan.strips));
+}
+
 TEST(FusedDecompress, KernelIsExactForEveryStripCountUpToOneLinePerStrip) {
-  // The codec's plan never puts fewer than ~4 lines in a strip; drive the
+  // The codec's plan never puts fewer than 16 tiles in a strip; drive the
   // kernel directly so one-line strips (a strip whose first line is its
-  // last) and every edge position are covered too.
+  // last) and every edge position are covered too, for plane strips and
+  // for row strips that span every plane.
   for (const Dims dims : {Dims{37, 29, 11}, Dims{448, 3, 5}, Dims{301, 29},
-                          Dims{5000}}) {
+                          Dims{5000}, Dims{64, 64, 3}}) {
     const DecodeCase dc{false, true};
     const FzCompressed c = compress_case<f32>(dims, dc);
     const std::vector<f32> want = classic_decode<f32>(c, dims, dc);
-    const ParsedSections p = parse_sections(c);
-    const size_t lines =
-        dims.rank() == 3 ? dims.z : (dims.rank() == 2 ? dims.y : dims.x);
-    for (size_t strips = 1; strips <= lines;
-         strips = strips < 40 ? strips + 1 : strips * 7) {
-      std::vector<i64> pq(dims.count());
-      std::vector<f32> got(dims.count(), -1.0f);
-      fused_decode_parallel(p.flags32, p.offsets, p.blocks, p.header,
-                            /*f32_fast=*/false, pq, got, strips,
-                            simd_supported());
-      expect_bits_equal<f32>(got, want,
-                             dims.to_string() + " strips " +
-                                 std::to_string(strips));
+    const StreamSections p = in_place_sections(c);
+    for (const bool rows : {false, true}) {
+      if (rows && dims.rank() != 3) continue;
+      const size_t lines = plan_lines(dims, rows);
+      for (size_t strips = 1; strips <= lines;
+           strips = strips < 40 ? strips + 1 : strips * 7)
+        expect_kernel_exact<f32>(p, dims, dc, want, {strips, rows},
+                                 dims.to_string());
     }
   }
+}
+
+template <typename T>
+void sweep_plans(Dims dims, const DecodeCase& dc, size_t shift) {
+  const FzCompressed c = compress_case<T>(dims, dc);
+  const std::vector<T> want = classic_decode<T>(c, dims, dc);
+  const StreamSections p = in_place_sections(c, shift);
+  const std::string what = dims.to_string() + " f" +
+                           std::to_string(sizeof(T) * 8) + " shift " +
+                           std::to_string(shift);
+  for (const bool rows : {false, true}) {
+    const size_t lines = plan_lines(dims, rows);
+    // One line per strip too, where that stays a modest thread count.
+    for (const size_t strips : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                                size_t{7}, std::min<size_t>(lines, 32)})
+      if (strips <= lines)
+        expect_kernel_exact<T>(p, dims, dc, want, {strips, rows}, what);
+  }
+  // The codec on the same unaligned bytes, at the plans it would pick.
+  const ByteSpan stream(p.buffer.data() + shift, c.bytes.size());
+  for (const size_t workers : {size_t{1}, size_t{4}, size_t{16}}) {
+    FzParams dp;
+    dp.f32_fast_quant = dc.f32_fast;
+    dp.fused_workers = workers;
+    Codec codec(dp);
+    std::vector<T> got(want.size(), T(-1));
+    ASSERT_EQ(codec.decompress_into(stream, std::span<T>{got}), dims);
+    expect_bits_equal<T>(got, want,
+                         what + dc.label() + " codec workers " +
+                             std::to_string(workers));
+  }
+}
+
+TEST(FusedDecompress, InPlaceDecodeMatchesClassicForPlaneAndRowPlans) {
+  // The reader-slices chunk (512×256×4), odd shapes whose strip edges fall
+  // mid-tile, nz ∈ {1, 2, 3, 5}, and ny below the strip count (the codec's
+  // row plan for 32768×3×2 wants 4–6 strips and gets 3); every
+  // stream also decoded from copies at +1 and +3 bytes, so the payload's
+  // 16-byte blocks are loaded unaligned.
+  // The shift rotates through {0, 1, 3} so every (dtype, formula) pair
+  // meets each alignment on some shape.
+  const size_t shifts[] = {0, 1, 3};
+  size_t k = 0;
+  for (const Dims dims : {Dims{512, 256, 4}, Dims{64, 64, 3}, Dims{37, 29, 11},
+                          Dims{448, 3, 5}, Dims{301, 29, 1}, Dims{200, 60, 2},
+                          Dims{2100, 2, 3}, Dims{32768, 3, 2}}) {
+    for (const bool log_transform : {false, true}) {
+      sweep_plans<f64>(dims, {false, log_transform}, shifts[k++ % 3]);
+      for (const bool f32_fast : {false, true})
+        sweep_plans<f32>(dims, {f32_fast, log_transform}, shifts[k++ % 3]);
+    }
+    ++k;
+  }
+}
+
+TEST(FusedDecompress, PlanSplitsThinSlabsIntoRowStrips) {
+  // A slab with fewer planes than 4 × strips splits its rows; a deep
+  // field splits its planes; a small field stays on one strip.
+  const FusedDecodePlan slab = fused_decode_plan(Dims{512, 256, 4}, 4);
+  EXPECT_TRUE(slab.rows);
+  EXPECT_EQ(slab.strips, 4u);
+  const FusedDecodePlan deep = fused_decode_plan(Dims{512, 256, 64}, 4);
+  EXPECT_FALSE(deep.rows);
+  EXPECT_EQ(deep.strips, 4u);
+  // At least 16 tiles per strip: 64 tiles give at most 4 strips.
+  EXPECT_EQ(fused_decode_plan(Dims{256, 512}, 8).strips, 4u);
+  EXPECT_EQ(fused_decode_plan(Dims{64, 256}, 8).strips, 1u);
+  // Row strips clamp to ny; plane strips to nz.
+  const FusedDecodePlan flat = fused_decode_plan(Dims{1 << 16, 3, 2}, 8);
+  EXPECT_TRUE(flat.rows);
+  EXPECT_EQ(flat.strips, 3u);
+  EXPECT_EQ(fused_decode_plan(Dims{1 << 16, 2, 3}, 8).strips, 3u);
+}
+
+/// Decompress `stream` (a field of `count` f32 values) through one graph
+/// and return the FormatError message without its source location ("" when
+/// it decodes).
+std::string format_error(ByteSpan stream, size_t count, bool fused) {
+  FzParams dp;
+  dp.fused_decompress = fused;
+  Codec codec(dp);
+  std::vector<f32> out(count);
+  try {
+    codec.decompress_into(stream, out);
+  } catch (const FormatError& e) {
+    const std::string what = e.what();
+    return what.substr(0, what.rfind(" ("));
+  }
+  return "";
+}
+
+TEST(FusedDecompress, CorruptFlagsAndTruncatedPayloadsFailLikeTheClassicGraph) {
+  const Dims dims{512, 256, 4};
+  const FzCompressed c = compress_case<f32>(dims, {});
+  StreamHeader h{};
+  std::memcpy(&h, c.bytes.data(), sizeof h);
+  const size_t payload_bytes = h.block_words * sizeof(u32);
+  ASSERT_GT(payload_bytes, 0u);
+  const size_t flag_off = sizeof(StreamHeader);
+
+  // One flag bit flipped either way: the popcount no longer matches the
+  // payload the header declares.
+  for (const size_t byte : {size_t{0}, h.bit_flag_bytes / 2,
+                            h.bit_flag_bytes - 1}) {
+    std::vector<u8> bad = c.bytes;
+    bad[flag_off + byte] ^= 0x10;
+    const std::string fused = format_error(bad, dims.count(), true);
+    EXPECT_EQ(fused, "decoder: block payload size mismatch") << byte;
+    EXPECT_EQ(fused, format_error(bad, dims.count(), false)) << byte;
+  }
+
+  // A payload cut short (the header still declares the full payload),
+  // at block and at odd byte granularity.
+  for (const size_t cut : {size_t{16}, size_t{3}, size_t{1}}) {
+    const ByteSpan truncated(c.bytes.data(), c.bytes.size() - cut);
+    const std::string fused = format_error(truncated, dims.count(), true);
+    EXPECT_FALSE(fused.empty()) << cut;
+    EXPECT_EQ(fused, format_error(truncated, dims.count(), false)) << cut;
+  }
+
+  // The kernel-level helpers refuse short sections on their own.
+  std::vector<u32> offsets(round_up(dims.count(), kCodesPerTile) /
+                               kCodesPerTile + 1);
+  const ByteSpan flags(c.bytes.data() + flag_off, h.bit_flag_bytes);
+  EXPECT_THROW(
+      decode_tile_offsets(flags.first(flags.size() - 1), payload_bytes,
+                          offsets),
+      FormatError);
+  EXPECT_THROW(decode_tile_offsets(flags, payload_bytes - 16, offsets),
+               FormatError);
+  EXPECT_NO_THROW(decode_tile_offsets(flags, payload_bytes, offsets));
 }
 
 TEST(FusedDecompress, ReaderAndServiceMatchTheClassicGraph) {
@@ -388,7 +539,9 @@ TEST(FusedDecompress, FlatVolumeStreamsDecodeIdenticallyAcrossWorkers) {
 // ---- telemetry ------------------------------------------------------------
 
 TEST(FusedDecompress, EmitsOneStripSpanPerPlannedStrip) {
-  const Dims dims{64, 256};
+  // 64 tiles: the decode plan keeps at least 16 tiles per strip, so this
+  // field splits four ways at 8 workers.
+  const Dims dims{256, 512};
   const std::vector<f32> data = field<f32>(dims, 3);
   Codec compressor;
   const FzCompressed c = compressor.compress(std::span<const f32>{data}, dims);
@@ -401,7 +554,7 @@ TEST(FusedDecompress, EmitsOneStripSpanPerPlannedStrip) {
   std::vector<f32> out(data.size());
   codec.decompress_into(c.bytes, out);
 
-  const FusedParallelPlan plan = fused_parallel_plan(dims, 8);
+  const FusedDecodePlan plan = fused_decode_plan(dims, 8);
   ASSERT_GT(plan.strips, 1u);
   size_t strip_spans = 0;
   bool saw_fused_decode_stage = false;
@@ -562,8 +715,9 @@ TEST(SimFusedQuant, FallsBackOnlyWhenSplitWindowsBlowTheBudgetToo) {
 // ---- end-to-end surfaces ---------------------------------------------------
 
 TEST(FusedDecompress, ReaderChunkFetchesMatchFullDecode) {
-  // Reader decodes ride the fused graph (one strip per fetch); every slice
-  // must still match decompressing the whole stream and copying out.
+  // Reader decodes ride the fused graph (demand misses fanned out on the
+  // caller, prefetches one strip each); every slice must still match
+  // decompressing the whole stream and copying out.
   const Dims dims{48, 40, 24};
   const std::vector<f32> data = field<f32>(dims, 41);
   ChunkedParams cp;

@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <iterator>
+#include <string_view>
 #include <thread>
 
 #include "common/error.hpp"
@@ -222,6 +224,139 @@ TEST(Reader, CorruptChunkPayloadSurfacesAsError) {
   const Slice good{.nx = 16, .ny = 16, .nz = 1};
   expect_exact(reader.read(good), reference_slice(fx.full, Dims{16, 16, 8},
                                                   good));
+}
+
+// ---- demand decodes on the calling thread -----------------------------------
+
+/// The chunk-fetch spans the sink recorded for each chunk id, and how many
+/// of them ran as demand decodes on a caller.
+struct FetchCounts {
+  std::vector<size_t> fetches, demand;
+};
+
+FetchCounts fetch_counts(const telemetry::Sink& sink, size_t chunks) {
+  FetchCounts c{std::vector<size_t>(chunks), std::vector<size_t>(chunks)};
+  for (const auto& ev : sink.snapshot()) {
+    if (std::string_view{ev.name} != "chunk-fetch") continue;
+    double chunk = -1, demand = 0;
+    for (u16 i = 0; i < ev.n_args; ++i) {
+      const std::string_view key{ev.args[i].key};
+      if (key == "chunk") chunk = ev.args[i].value;
+      if (key == "demand") demand = ev.args[i].value;
+    }
+    const size_t id = static_cast<size_t>(chunk);
+    EXPECT_LT(id, chunks);
+    if (id >= chunks) continue;
+    ++c.fetches[id];
+    if (demand != 0) ++c.demand[id];
+  }
+  return c;
+}
+
+TEST(Reader, ConcurrentOverlappingSlicesMatchFullDecode) {
+  // Four callers read overlapping slices — every one touches chunk 2 — so
+  // demand decodes on different callers race for the same chunks, fan
+  // their strips out concurrently, and share the codec free list.  The
+  // cache holds about two chunks, so chunks are decoded again and again.
+  const Dims dims{64, 48, 40};
+  const Fixture fx = Fixture::make(dims, 8);
+  const size_t chunk_bytes = dims.x * dims.y * 5 * sizeof(f32);
+  Reader reader(fx.container, ReaderOptions{.workers = 4,
+                                            .cache_bytes = 2 * chunk_bytes,
+                                            .max_prefetch = 2});
+  const Slice slices[] = {
+      {.x = 3, .y = 5, .z = 8, .nx = 50, .ny = 30, .nz = 6},
+      {.z = 10, .nx = 64, .ny = 48, .nz = 5},
+      {.x = 10, .y = 0, .z = 0, .nx = 20, .ny = 48, .nz = 25},
+      {.x = 0, .y = 20, .z = 12, .nx = 64, .ny = 8, .nz = 28},
+  };
+  constexpr size_t kThreads = 4;
+  constexpr size_t kReps = 6;
+  std::atomic<bool> go{false};
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t)
+    callers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (size_t rep = 0; rep < kReps; ++rep) {
+        const Slice& s = slices[(t + rep) % std::size(slices)];
+        const std::vector<f32> got = reader.read(s);
+        const std::vector<f32> want = reference_slice(fx.full, dims, s);
+        if (std::memcmp(got.data(), want.data(), got.size() * sizeof(f32)) !=
+            0)
+          mismatches.fetch_add(1);
+      }
+    });
+  go.store(true);
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(reader.stats().misses, 0u);
+}
+
+TEST(Reader, DemandReadOfAPrefetchingChunkWaitsForItWithoutDecodingTwice) {
+  // Two sequential reads ramp the prefetcher, which queues chunks 2 and 3
+  // on the pool; the demand read of chunk 2 that follows lands on that
+  // entry — queued, in flight or done — and must wait for it rather than
+  // decode the chunk itself.
+  const Dims dims{128, 64, 32};
+  const Fixture fx = Fixture::make(dims, 8);
+  telemetry::Sink sink;
+  Reader reader(fx.container, ReaderOptions{.workers = 1,
+                                            .max_prefetch = 2,
+                                            .telemetry = &sink});
+  const size_t planes = dims.z / reader.chunk_count();
+  for (size_t chunk = 0; chunk < 3; ++chunk) {
+    const Slice s{.z = chunk * planes, .nx = dims.x, .ny = dims.y,
+                  .nz = planes};
+    expect_exact(reader.read(s), reference_slice(fx.full, dims, s));
+  }
+  const ReaderStats st = reader.stats();
+  EXPECT_EQ(st.misses, 2u);  // chunks 0 and 1; chunk 2 was prefetched
+  EXPECT_GE(st.prefetch_hits, 1u);
+
+  const FetchCounts c = fetch_counts(sink, reader.chunk_count());
+  EXPECT_EQ(c.fetches[2], 1u);  // decoded once, by the pool
+  EXPECT_EQ(c.demand[2], 0u);
+  EXPECT_EQ(c.demand[0], 1u);  // demand misses decode on the caller
+  EXPECT_EQ(c.demand[1], 1u);
+  for (size_t id = 0; id < reader.chunk_count(); ++id)
+    EXPECT_LE(c.fetches[id], 1u) << "chunk " << id;
+}
+
+TEST(Reader, CorruptChunkSurfacesToEveryConcurrentWaiter) {
+  // Callers racing for a corrupt chunk: whichever loads it publishes the
+  // error, every waiter rethrows it, and since failures are not cached
+  // each later read fails afresh — no caller hangs, none gets data.
+  const Dims dims{32, 32, 16};
+  const Fixture fx = Fixture::make(dims, 4);
+  const ContainerInfo info = fz_container_info(fx.container);
+  std::vector<u8> bad = fx.container;
+  bad[info.chunks[1].offset] ^= 0xff;
+  Reader reader(bad, ReaderOptions{.workers = 2});
+
+  constexpr size_t kThreads = 4;
+  constexpr size_t kReps = 5;
+  std::atomic<bool> go{false};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t)
+    callers.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (size_t rep = 0; rep < kReps; ++rep) {
+        try {
+          (void)reader.read(Slice{.z = 2, .nx = 32, .ny = 32, .nz = 8});
+        } catch (const FormatError&) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  go.store(true);
+  for (auto& th : callers) th.join();
+  EXPECT_EQ(failures.load(), kThreads * kReps);
+  const Slice good{.z = 8, .nx = 32, .ny = 32, .nz = 8};
+  expect_exact(reader.read(good), reference_slice(fx.full, dims, good));
 }
 
 // ---- ThreadPool -------------------------------------------------------------
