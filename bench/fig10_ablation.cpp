@@ -33,7 +33,6 @@ int main() {
     FzParams v1_split, v2_split, v2_fused;
     v1_split.eb = v2_split.eb = v2_fused.eb = ErrorBound::relative(rel_eb);
     v1_split.quant = QuantVersion::V1Original;
-    v1_split.fused_host_graph = false;
     v1_split.fused_bitshuffle_mark = false;
     v2_split.fused_bitshuffle_mark = false;
 

@@ -1,12 +1,11 @@
 // Performance regression bench (PR3 stages + PR5 tile parallelism):
 // wall-clock GB/s of each vectorized pipeline stage at every SIMD dispatch
-// level, end-to-end compression throughput for the {unfused, fused-serial,
-// fused-parallel} x {scalar, best-SIMD} configs on the tier-1 benchmark
-// suite, a fused-parallel thread-scaling sweep (1/2/4/max workers,
-// compress AND decompress), and decompression throughput.  Emits a
-// machine-readable JSON report (default BENCH_pr5.json) consumed by
-// scripts/bench_smoke.sh; the human table goes to stdout.  Byte-identity
-// of every config's stream against the scalar-unfused reference is
+// level, end-to-end compression throughput of the fused-parallel graph at
+// {scalar, best-SIMD} on the tier-1 benchmark suite, a fused-parallel
+// thread-scaling sweep (1/2/4/max workers, compress AND decompress), and
+// decompression throughput.  Emits a machine-readable JSON report (default
+// BENCH_pr5.json) consumed by scripts/bench_smoke.sh; the human table goes
+// to stdout.  Byte-identity of the SIMD stream against the scalar one is
 // asserted while measuring.
 //
 // PR8 adds a gap-array Huffman decode sweep: per-dataset quantization codes
@@ -15,18 +14,16 @@
 // on every timed run.  Those rows go to a second report (default
 // BENCH_pr8.json), gated separately by scripts/bench_smoke.sh.
 //
-// PR10 adds the decompress mirror: end-to-end fused vs classic (staged)
-// decompression per dataset — plus a 512×256×4 thin slab, the Reader chunk
-// shape — with byte-identity asserted on every timed run,
-// plus a 3-D z-carry chunked-scan thread sweep on a flat volume (the shape
-// whose y-extent is too small for the row-parallel path).  Those rows go to
-// a third report (default BENCH_pr10.json), gated by scripts/bench_smoke.sh.
+// The decompress rows: end-to-end fused decompression per dataset — plus
+// a 512×256×4 thin slab, the Reader chunk shape — plus a 3-D z-carry
+// chunked-scan thread sweep on a flat volume (the shape whose y-extent is
+// too small for the row-parallel path).  Those rows go to a third report
+// (default BENCH_pr10.json), gated by scripts/bench_smoke.sh.
 //
 // Usage: regress [--scale S] [--iters N] [--out FILE] [--huff-out FILE]
 //                [--pr10-out FILE]
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -144,8 +141,6 @@ int main(int argc, char** argv) {
   std::vector<u32> shuffled(words), unshuffled(words);
   std::vector<u8> byte_flags(words / kBlockWords),
       bit_flags(words / kBlockWords / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(stage_field.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(stage_field.dims));
 
   std::vector<StageRow> stage_rows;
   bench::Table stage_table({"stage", "level", "GB/s"});
@@ -180,11 +175,6 @@ int main(int argc, char** argv) {
         [&] { mark_blocks_simd(shuffled, byte_flags, bit_flags, level); });
     add("bitunshuffle", words * 4,
         [&] { bitunshuffle_tiles_simd(shuffled, unshuffled, level); });
-    add("fused-tile-pipeline", n * 4, [&] {
-      fused_quant_shuffle_mark(stage_field.values(), stage_field.dims, abs_eb,
-                               /*f32_fast=*/false, shuffled, byte_flags,
-                               bit_flags, row_scratch, plane_scratch, level);
-    });
     const FusedParallelPlan plan =
         fused_parallel_plan(stage_field.dims, /*workers=*/0);
     std::vector<i64> strip_scratch(plan.scratch_elems);
@@ -199,27 +189,17 @@ int main(int argc, char** argv) {
             << JsonWriter::num(abs_eb) << "):\n";
   stage_table.print(std::cout);
 
-  // ---- end-to-end compression: {unfused, fused-serial, fused-parallel}
-  //      x {scalar, best} ---------------------------------------------------
+  // ---- end-to-end compression: fused-parallel x {scalar, best} ------------
   struct Config {
     const char* name;
-    bool fused;
-    bool serial_tiles;  // fused graph only: pre-PR5 streaming reference
     SimdDispatch simd;
   };
   const Config configs[] = {
-      {"unfused-scalar", false, false, SimdDispatch::Scalar},
-      {"unfused-simd", false, false, SimdDispatch::Auto},
-      {"fused-serial-scalar", true, true, SimdDispatch::Scalar},
-      {"fused-serial-simd", true, true, SimdDispatch::Auto},
-      {"fused-parallel-scalar", true, false, SimdDispatch::Scalar},
-      {"fused-parallel-simd", true, false, SimdDispatch::Auto},
+      {"fused-parallel-scalar", SimdDispatch::Scalar},
+      {"fused-parallel-simd", SimdDispatch::Auto},
   };
-  constexpr size_t kRef = 0, kSerialSimd = 3, kParallelSimd = 5;
 
   std::vector<CompressRow> compress_rows;
-  std::vector<std::pair<std::string, double>> speedups;
-  std::vector<std::pair<std::string, double>> parallel_vs_serial;
   std::vector<CompressRow> decompress_rows;
   struct ScalingRow {
     std::string dataset;
@@ -228,9 +208,8 @@ int main(int argc, char** argv) {
   };
   std::vector<ScalingRow> scaling_rows;
 
-  bench::Table comp_table({"dataset", "unfused-scalar", "unfused-simd",
-                           "fused-serial-simd", "fused-parallel-simd",
-                           "speedup", "par/serial"});
+  bench::Table comp_table(
+      {"dataset", "fused-parallel-scalar", "fused-parallel-simd"});
   bool identical = true;
   for (const Field& f : benchmark_suite(scale, 42)) {
     FzParams params;
@@ -238,8 +217,6 @@ int main(int argc, char** argv) {
     std::vector<u8> reference;
     std::vector<double> results;
     for (const Config& c : configs) {
-      params.fused_host_graph = c.fused;
-      params.fused_serial_tiles = c.serial_tiles;
       params.fused_workers = 0;  // one strip per hardware thread
       params.simd = c.simd;
       FzCompressed comp;
@@ -250,17 +227,8 @@ int main(int argc, char** argv) {
       results.push_back(gbps(f.bytes(), t));
       compress_rows.push_back({f.dataset, c.name, results.back()});
     }
-    const double speedup = results[kParallelSimd] / results[kRef];
-    speedups.emplace_back(f.dataset, speedup);
-    parallel_vs_serial.emplace_back(
-        f.dataset, results[kParallelSimd] / results[kSerialSimd]);
     comp_table.add_row({f.dataset, JsonWriter::num(results[0]),
-                        JsonWriter::num(results[1]),
-                        JsonWriter::num(results[kSerialSimd]),
-                        JsonWriter::num(results[kParallelSimd]),
-                        JsonWriter::num(speedup) + "x",
-                        JsonWriter::num(parallel_vs_serial.back().second) +
-                            "x"});
+                        JsonWriter::num(results[1])});
 
     // Thread-scaling sweep (compress + decompress) at 1/2/4/max workers.
     // The stream is identical at every worker count (asserted above and in
@@ -284,9 +252,7 @@ int main(int argc, char** argv) {
                                    gbps(f.bytes(), td)});
     }
   }
-  std::cout << "\nCompression throughput (GB/s), rel eb 1e-3; speedup = "
-               "fused-parallel-simd over unfused-scalar, par/serial = "
-               "fused-parallel-simd over fused-serial-simd:\n";
+  std::cout << "\nCompression throughput (GB/s), rel eb 1e-3:\n";
   comp_table.print(std::cout);
   std::cout << "\nstreams byte-identical across configs: "
             << (identical ? "yes" : "NO — BUG") << "\n";
@@ -365,15 +331,14 @@ int main(int argc, char** argv) {
   std::cout << "decoded symbols identical across every path: "
             << (huff_identical ? "yes" : "NO — BUG") << "\n";
 
-  // ---- PR10: fused vs classic decompress + 3-D z-carry scan scaling --------
+  // ---- fused decompress + 3-D z-carry scan scaling ------------------------
   struct FusedDecompRow {
     std::string dataset;
-    double fused_gbps, unfused_gbps;
+    double fused_gbps;
   };
   std::vector<FusedDecompRow> fused_decomp_rows;
-  bool decomp_identical = true;
 
-  bench::Table fd_table({"dataset", "fused GB/s", "classic GB/s", "ratio"});
+  bench::Table fd_table({"dataset", "fused GB/s"});
   // Plus one thin slab at full size whatever the scale: a Reader chunk of
   // the 512×256×256 Hurricane field cut in 64 (fewer planes than 4 per
   // strip, so the decode splits it into row strips).
@@ -384,35 +349,18 @@ int main(int argc, char** argv) {
   for (const Field& f : decomp_fields) {
     FzParams cp;
     cp.eb = ErrorBound::relative(1e-3);
-    Codec compressor(cp);
-    const FzCompressed comp = compressor.compress(f.values(), f.dims);
-
-    FzParams on = cp;
-    on.fused_decompress = true;
-    on.fused_workers = 0;
-    FzParams off = on;
-    off.fused_decompress = false;
-    Codec codec_on(on), codec_off(off);
-    std::vector<f32> a(f.count()), b(f.count());
-    const double t_on = min_seconds(
-        iters, [&] { codec_on.decompress_into(comp.bytes, a); });
-    const double t_off = min_seconds(
-        iters, [&] { codec_off.decompress_into(comp.bytes, b); });
-    if (std::memcmp(a.data(), b.data(), a.size() * sizeof(f32)) != 0)
-      decomp_identical = false;
-    fused_decomp_rows.push_back(
-        {f.dataset, gbps(f.bytes(), t_on), gbps(f.bytes(), t_off)});
+    cp.fused_workers = 0;
+    Codec codec(cp);
+    const FzCompressed comp = codec.compress(f.values(), f.dims);
+    std::vector<f32> a(f.count());
+    const double t =
+        min_seconds(iters, [&] { codec.decompress_into(comp.bytes, a); });
+    fused_decomp_rows.push_back({f.dataset, gbps(f.bytes(), t)});
     fd_table.add_row(
-        {f.dataset, JsonWriter::num(fused_decomp_rows.back().fused_gbps),
-         JsonWriter::num(fused_decomp_rows.back().unfused_gbps),
-         JsonWriter::num(fused_decomp_rows.back().fused_gbps /
-                         fused_decomp_rows.back().unfused_gbps) +
-             "x"});
+        {f.dataset, JsonWriter::num(fused_decomp_rows.back().fused_gbps)});
   }
-  std::cout << "\nFused vs classic decompression (GB/s of restored f32):\n";
+  std::cout << "\nFused decompression (GB/s of restored f32):\n";
   fd_table.print(std::cout);
-  std::cout << "restored fields byte-identical fused vs classic: "
-            << (decomp_identical ? "yes" : "NO — BUG") << "\n";
 
   // Chunked z-carry sweep: a flat volume (y < workers) so scan_z takes the
   // plane-granular chunked path at workers > 1 and the serial column scan
@@ -512,23 +460,6 @@ int main(int argc, char** argv) {
              (i + 1 < scaling_rows.size() ? "," : "") + "\n";
   }
   w.buf += "  ]";
-  w.section("speedups");
-  w.buf += "{\n";
-  for (size_t i = 0; i < speedups.size(); ++i) {
-    w.buf += "    \"" + speedups[i].first +
-             "\": " + JsonWriter::num(speedups[i].second) +
-             (i + 1 < speedups.size() ? "," : "") + "\n";
-  }
-  w.buf += "  }";
-  w.section("parallel_vs_serial");
-  w.buf += "{\n";
-  for (size_t i = 0; i < parallel_vs_serial.size(); ++i) {
-    w.buf += "    \"" + parallel_vs_serial[i].first +
-             "\": " + JsonWriter::num(parallel_vs_serial[i].second) +
-             (i + 1 < parallel_vs_serial.size() ? "," : "") + "\n";
-  }
-  w.buf += "  }";
-
   std::ofstream out(out_path);
   out << w.finish();
   std::cout << "wrote " << out_path << "\n";
@@ -586,18 +517,14 @@ int main(int argc, char** argv) {
   pw.buf += JsonWriter::num(iters);
   pw.section("max_threads");
   pw.buf += JsonWriter::num(static_cast<double>(hw_threads));
-  pw.section("decompress_identical");
-  pw.buf += decomp_identical ? "true" : "false";
   pw.section("zscan_identical");
   pw.buf += zscan_identical ? "true" : "false";
-  pw.section("fused_decompress");
+  pw.section("fused_decode");
   pw.buf += "[\n";
   for (size_t i = 0; i < fused_decomp_rows.size(); ++i) {
     pw.buf += "    {\"dataset\": \"" + fused_decomp_rows[i].dataset +
               "\", \"fused_gbps\": " +
-              JsonWriter::num(fused_decomp_rows[i].fused_gbps) +
-              ", \"unfused_gbps\": " +
-              JsonWriter::num(fused_decomp_rows[i].unfused_gbps) + "}" +
+              JsonWriter::num(fused_decomp_rows[i].fused_gbps) + "}" +
               (i + 1 < fused_decomp_rows.size() ? "," : "") + "\n";
   }
   pw.buf += "  ]";
@@ -614,7 +541,5 @@ int main(int argc, char** argv) {
   std::ofstream pr10_out(pr10_out_path);
   pr10_out << pw.finish();
   std::cout << "wrote " << pr10_out_path << "\n";
-  return identical && huff_identical && decomp_identical && zscan_identical
-             ? 0
-             : 1;
+  return identical && huff_identical && zscan_identical ? 0 : 1;
 }

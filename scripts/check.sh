@@ -11,8 +11,7 @@
 #   2. bench smoke    — scripts/bench_smoke.sh guards the SIMD/fused and
 #                       tile-parallel throughput against the checked-in
 #                       BENCH_pr5.json baseline (tolerance via
-#                       FZ_BENCH_TOLERANCE), including the fused-parallel
-#                       >= fused-serial gate, and the PR6 random-access
+#                       FZ_BENCH_TOLERANCE), and the random-access
 #                       reader gate (byte-identical slices, hot-cache hit
 #                       rate, prefetch effectiveness) via BENCH_pr6.json
 #   3. trace smoke    — runs fz_cli under FZ_TRACE and --trace, plus a
@@ -110,15 +109,18 @@ scripts/bench_smoke.sh build/bench/regress build/bench/random_access
 echo "==== trace smoke: telemetry export validates ===="
 trace_smoke build/examples/fz_cli
 # A traced bench run: every env-sink codec in regress records into one
-# trace, covering the unfused, fused-serial and fused-parallel compression
-# graphs and the fused decompress graph — including the per-strip spans of
-# both tile-parallel passes.
+# trace, covering the fused compress and decompress graphs (the only
+# graphs a V2 run takes) — including the per-strip spans of both
+# tile-parallel passes.  All three reports go to the scratch directory so
+# the checked-in BENCH_*.json baselines stay untouched.
 trace_tmp=$(mktemp -d)
 FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
-  --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" > /dev/null
+  --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" \
+  --huff-out "${trace_tmp}/huff.json" --pr10-out "${trace_tmp}/pr10.json" \
+  > /dev/null
 python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
-  --expect compress dual-quant fused-quant-shuffle-mark fused-strip \
-  prefix-sum-encode decompress fused-decode fused-decode-strip
+  --expect compress fused-quant-shuffle-mark fused-strip decompress \
+  fused-decode fused-decode-strip
 rm -rf "${trace_tmp}"
 
 echo "==== lint-static: fzlint (layering / lock discipline / layout / hygiene) ===="

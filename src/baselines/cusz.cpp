@@ -154,7 +154,6 @@ RunResult CuszCompressor::run(const Field& field, double rel_eb) const {
   st.outliers = q.outliers.size();
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   r.compression_costs.push_back(fz_compression_costs(st, v1).front());
   if (encoding_ == Encoding::Huffman) {
     r.compression_costs.push_back(histogram_cost(st.count));

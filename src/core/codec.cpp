@@ -73,11 +73,11 @@ void Codec::compress_impl(std::span<const T> data, Dims dims,
   FZ_REQUIRE(!data.empty(), "cannot compress an empty field");
   FZ_REQUIRE(data.size() == dims.count(), "dims do not match data size");
 
-  // The fused tile pipeline covers V2 only; validate() rejects a fused V1
-  // request up front, so the choice here is purely on the flag.  Either
-  // graph emits the same bytes.
-  const StageGraph& graph =
-      params_.fused_host_graph ? compress_stages_fused_ : compress_stages_;
+  // The quant version chooses the graph: the fused graph has no V1
+  // (outlier-list) tile body, and V2 runs nothing else.
+  const StageGraph& graph = params_.quant == QuantVersion::V2Optimized
+                                ? compress_stages_fused_
+                                : compress_stages_;
 
   ctx_.begin_compress(&pool_, params_, dims, data.size(), sizeof(T),
                       data.data(), &out.bytes);
@@ -134,18 +134,18 @@ Status Codec::try_compress(std::span<const f64> data, Dims dims,
 template <typename T>
 Dims Codec::decompress_into_impl(ByteSpan stream, std::span<T> out,
                                  std::vector<cudasim::CostSheet>* stage_costs) {
-  // The fused decode covers V2 streams only; peek the quant byte (pinned at
-  // offset 6 by a format.hpp static_assert) to route V1/legacy streams to
-  // the unfused graph.  Both graphs open with ParseHeaderStage, so a
-  // garbage peek on a truncated or corrupt stream still fails with the
-  // graph-independent format error.  Either graph writes the same bytes.
+  // The stream's quant version chooses the graph, as on compress: peek the
+  // quant byte (pinned at offset 6 by a format.hpp static_assert) to route
+  // V2 streams to the fused decode and V1/legacy streams to the classic
+  // graph.  Both graphs open with ParseHeaderStage, so a garbage peek on a
+  // truncated or corrupt stream still fails with the graph-independent
+  // format error.
   const bool v2_stream =
       stream.size() >= sizeof(StreamHeader) &&
       stream[offsetof(StreamHeader, quant)] ==
           static_cast<u8>(QuantVersion::V2Optimized);
-  const StageGraph& graph = params_.fused_decompress && v2_stream
-                                ? decompress_stages_fused_
-                                : decompress_stages_;
+  const StageGraph& graph =
+      v2_stream ? decompress_stages_fused_ : decompress_stages_;
 
   ctx_.begin_decompress(&pool_, params_, stream, out.size(), sizeof(T),
                         out.data());

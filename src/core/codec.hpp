@@ -117,6 +117,8 @@ class Codec {
   FzParams params_;
   telemetry::Sink* sink_;
   BufferPool pool_;
+  // One graph per quant version: the classic graphs run V1, the fused
+  // graphs V2 (core/stages.hpp).
   StageGraph compress_stages_;
   StageGraph compress_stages_fused_;
   StageGraph decompress_stages_;

@@ -50,8 +50,8 @@ cudasim::CostSheet sim_bitshuffle_mark_fused(
     std::vector<u8>& bit_flags, bool padded_shared = true,
     BitshuffleFault fault = BitshuffleFault::None);
 
-/// Device mirror of the host fused tile pipeline (PR3,
-/// core/kernels_simd.hpp fused_quant_shuffle_mark): dual-quantization,
+/// Device mirror of the host fused tile pipeline (core/kernels_simd.hpp
+/// fused_quant_shuffle_mark_parallel): dual-quantization,
 /// Lorenzo encoding, bit transpose and zero-block marking in ONE launch.
 /// Each thread of a 32x32 block computes the two u16 codes of its tile
 /// word via neighbour recomputation, packs them into the shared tile, and

@@ -78,39 +78,6 @@ void prequant_row_f32fast_scalar(const f32* data, size_t n, double inv,
     out[i] = prequant_one_f32fast(data[i], inv, invf);
 }
 
-// The f64 fast path pays one more rounding than the f32 one: the input is
-// first narrowed to f32 (vf = fl32(v)), then x = fl32(vf * fl32(inv)) — three
-// roundings, so the relative error bound grows to ~3*2^-24 and the margin
-// slope widens to 2^-21 (vs 2^-22), leaving >2.6x slack.  Two extra guards
-// keep the bound honest: a *subnormal* nonzero fl32(v) voids the relative
-// error analysis, so those lanes take the exact path; fl32(v) == 0 with
-// v != 0 stays fast because |v * inv| < 2^-149 * 2^128 = 2^-21 < 0.5 then,
-// so 0 IS the exact llround.  fl32(v) overflowing to inf fails the range
-// test like any large x.  The same kF32FastLimit cap applies (the wider
-// margin just reaches 0.5 earlier, sending more large values to the exact
-// path — a perf matter, never a correctness one).
-constexpr float kF64FastMarginSlope = 0x1p-21f;
-
-inline i64 prequant_one_f64fast(f64 v, double inv, float invf) {
-  const float vf = static_cast<float>(v);
-  const float av = std::fabs(vf);
-  if (av < FLT_MIN && av != 0.0f) return prequant_one(v, inv);
-  const float x = vf * invf;
-  const float ax = std::fabs(x);
-  if (!(ax < kF32FastLimit)) return prequant_one(v, inv);
-  const long r = std::lrintf(x);
-  const float diff = std::fabs(x - static_cast<float>(r));
-  const float margin = ax * kF64FastMarginSlope + 0x1p-24f;
-  if (!(diff < 0.5f - margin)) return prequant_one(v, inv);
-  return r;
-}
-
-void prequant_row_f64fast_scalar(const f64* data, size_t n, double inv,
-                                 float invf, i64* out) {
-  for (size_t i = 0; i < n; ++i)
-    out[i] = prequant_one_f64fast(data[i], inv, invf);
-}
-
 inline u16 clip_encode_one(i64 v, size_t& sat) {
   if (sign_magnitude_saturates(v)) ++sat;
   const i64 clipped = v > kMaxMagnitude16
@@ -128,13 +95,13 @@ size_t encode_row_scalar(const i64* d, size_t n, u16* codes) {
 // ---- fused Lorenzo delta + encode rows -------------------------------------
 //
 // The tile-parallel strip body computes the Lorenzo residual and the
-// sign-magnitude code in one kernel, so the delta row of the serial fused
-// pass is never stored and reloaded.  Writing d[i] = s[i] - s[i-1] with
+// sign-magnitude code in one kernel, so no delta row is stored and
+// reloaded.  Writing d[i] = s[i] - s[i-1] with
 // s the rank-specific prediction sum (s = p in 1-D, cur - prev in 2-D,
 // cur - prev - ppy + ppy1 in 3-D) makes the three ranks share one shape.
 // `has_left` distinguishes a mid-row segment (element 0 has an in-row left
-// neighbour) from a row start, whose delta drops every [i-1] term — exactly
-// delta_row_2d/3d's d[0].  1-D has no flag: the caller keeps a carry slot
+// neighbour) from a row start, whose delta drops every [i-1] term (the
+// Lorenzo residual of a row's first element).  1-D has no flag: the caller keeps a carry slot
 // at p[-1] (zero at the very start).  All arithmetic is i64 adds, so every
 // tier is bit-identical by construction.
 
@@ -304,51 +271,6 @@ __attribute__((target("sse2"))) void prequant_row_f32fast_sse2(
   for (; i < n; ++i) out[i] = prequant_one_f32fast(data[i], inv, invf);
 }
 
-__attribute__((target("sse2"))) void prequant_row_f64fast_sse2(
-    const f64* data, size_t n, double inv, float invf, i64* out) {
-  const __m128 vinvf = _mm_set1_ps(invf);
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  const __m128 limitf = _mm_set1_ps(kF32FastLimit);
-  const __m128 fltmin = _mm_set1_ps(FLT_MIN);
-  const __m128 zero = _mm_setzero_ps();
-  const __m128 half = _mm_set1_ps(0.5f);
-  const __m128 mslope = _mm_set1_ps(kF64FastMarginSlope);
-  const __m128 mfloor = _mm_set1_ps(0x1p-24f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // cvtpd_ps narrows round-to-nearest-even, exactly fl32(v).
-    const __m128 vf = _mm_movelh_ps(_mm_cvtpd_ps(_mm_loadu_pd(data + i)),
-                                    _mm_cvtpd_ps(_mm_loadu_pd(data + i + 2)));
-    const __m128 av = _mm_and_ps(vf, abs_mask);
-    // Lanes where fl32(v) went subnormal-but-nonzero take the exact path.
-    const __m128 sub =
-        _mm_and_ps(_mm_cmplt_ps(av, fltmin), _mm_cmpneq_ps(av, zero));
-    const __m128 x = _mm_mul_ps(vf, vinvf);
-    const __m128 ax = _mm_and_ps(x, abs_mask);
-    if (_mm_movemask_ps(_mm_or_ps(sub, _mm_cmpnlt_ps(ax, limitf))) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m128i q = _mm_cvtps_epi32(x);  // nearest-even == lrintf
-    // Same margin test as prequant_one_f64fast, all four lanes at once.
-    const __m128 diff =
-        _mm_and_ps(_mm_sub_ps(x, _mm_cvtepi32_ps(q)), abs_mask);
-    const __m128 margin = _mm_add_ps(_mm_mul_ps(ax, mslope), mfloor);
-    if (_mm_movemask_ps(_mm_cmpnlt_ps(diff, _mm_sub_ps(half, margin))) != 0) {
-      for (size_t k = 0; k < 4; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m128i sign = _mm_srai_epi32(q, 31);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
-                     _mm_unpacklo_epi32(q, sign));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i + 2),
-                     _mm_unpackhi_epi32(q, sign));
-  }
-  for (; i < n; ++i) out[i] = prequant_one_f64fast(data[i], inv, invf);
-}
-
 // Vectorized Hacker's Delight swap network: the scalar loop in
 // transpose_bit_matrix_32 over a[32], four words per XMM register.  The
 // j=16/8/4 stages pair whole registers; j=2/1 pair lanes within a register
@@ -506,55 +428,6 @@ __attribute__((target("avx2"))) void prequant_row_f32fast_avx2(
         _mm256_cvtepi32_epi64(_mm256_extracti128_si256(q, 1)));
   }
   for (; i < n; ++i) out[i] = prequant_one_f32fast(data[i], inv, invf);
-}
-
-__attribute__((target("avx2"))) void prequant_row_f64fast_avx2(
-    const f64* data, size_t n, double inv, float invf, i64* out) {
-  const __m256 vinvf = _mm256_set1_ps(invf);
-  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  const __m256 limitf = _mm256_set1_ps(kF32FastLimit);
-  const __m256 fltmin = _mm256_set1_ps(FLT_MIN);
-  const __m256 zero = _mm256_setzero_ps();
-  const __m256 half = _mm256_set1_ps(0.5f);
-  const __m256 mslope = _mm256_set1_ps(kF64FastMarginSlope);
-  const __m256 mfloor = _mm256_set1_ps(0x1p-24f);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // Two 4-wide narrowing converts (round-to-nearest-even == fl32).
-    const __m256 vf = _mm256_insertf128_ps(
-        _mm256_castps128_ps256(_mm256_cvtpd_ps(_mm256_loadu_pd(data + i))),
-        _mm256_cvtpd_ps(_mm256_loadu_pd(data + i + 4)), 1);
-    const __m256 av = _mm256_and_ps(vf, abs_mask);
-    const __m256 sub =
-        _mm256_and_ps(_mm256_cmp_ps(av, fltmin, _CMP_LT_OQ),
-                      _mm256_cmp_ps(av, zero, _CMP_NEQ_OQ));
-    const __m256 x = _mm256_mul_ps(vf, vinvf);
-    const __m256 ax = _mm256_and_ps(x, abs_mask);
-    if (_mm256_movemask_ps(_mm256_or_ps(
-            sub, _mm256_cmp_ps(ax, limitf, _CMP_NLT_UQ))) != 0) {
-      for (size_t k = 0; k < 8; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    const __m256i q = _mm256_cvtps_epi32(x);  // nearest-even == lrintf
-    // Same margin test as prequant_one_f64fast, eight lanes at once.
-    const __m256 diff =
-        _mm256_and_ps(_mm256_sub_ps(x, _mm256_cvtepi32_ps(q)), abs_mask);
-    const __m256 margin = _mm256_add_ps(_mm256_mul_ps(ax, mslope), mfloor);
-    if (_mm256_movemask_ps(_mm256_cmp_ps(diff, _mm256_sub_ps(half, margin),
-                                         _CMP_NLT_UQ)) != 0) {
-      for (size_t k = 0; k < 8; ++k)
-        out[i + k] = prequant_one_f64fast(data[i + k], inv, invf);
-      continue;
-    }
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i),
-        _mm256_cvtepi32_epi64(_mm256_castsi256_si128(q)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(out + i + 4),
-        _mm256_cvtepi32_epi64(_mm256_extracti128_si256(q, 1)));
-  }
-  for (; i < n; ++i) out[i] = prequant_one_f64fast(data[i], inv, invf);
 }
 
 // Encodes four i64 residuals to sign-magnitude u16 codes (in the low 64
@@ -765,7 +638,6 @@ struct KernelOps {
   void (*prequant_f32)(const f32*, size_t, double, i64*);
   void (*prequant_f64)(const f64*, size_t, double, i64*);
   void (*prequant_f32fast)(const f32*, size_t, double, float, i64*);
-  void (*prequant_f64fast)(const f64*, size_t, double, float, i64*);
   size_t (*encode)(const i64*, size_t, u16*);
   void (*transpose)(const u32*, u32*, size_t);
   void (*mark)(const u32*, size_t, u8*, u8*);
@@ -778,8 +650,7 @@ struct KernelOps {
 
 constexpr KernelOps kScalarOps = {
     prequant_row_scalar<f32>, prequant_row_scalar<f64>,
-    prequant_row_f32fast_scalar, prequant_row_f64fast_scalar,
-    encode_row_scalar,
+    prequant_row_f32fast_scalar, encode_row_scalar,
     transpose_unit_scalar, mark_rows_scalar,
     delta1_encode_scalar, delta2_encode_scalar, delta3_encode_scalar,
 };
@@ -789,8 +660,7 @@ KernelOps ops_for(SimdLevel level) {
   switch (level) {
     case SimdLevel::AVX2:
       return {prequant_row_f32_avx2, prequant_row_f64_avx2,
-              prequant_row_f32fast_avx2, prequant_row_f64fast_avx2,
-              encode_row_avx2,
+              prequant_row_f32fast_avx2, encode_row_avx2,
               transpose_unit_avx2, mark_rows_avx2,
               delta1_encode_avx2, delta2_encode_avx2, delta3_encode_avx2};
     case SimdLevel::SSE2:
@@ -798,8 +668,7 @@ KernelOps ops_for(SimdLevel level) {
       // or blend below AVX2); it and the fused delta+encode rows stay
       // scalar at this tier.
       return {prequant_row_f32_sse2, prequant_row_f64_sse2,
-              prequant_row_f32fast_sse2, prequant_row_f64fast_sse2,
-              encode_row_scalar,
+              prequant_row_f32fast_sse2, encode_row_scalar,
               transpose_unit_sse2, mark_rows_scalar,
               delta1_encode_scalar, delta2_encode_scalar,
               delta3_encode_scalar};
@@ -834,21 +703,10 @@ class TileSink {
         bit_flags_(bit_flags.data()),
         compact_(byte_flags.empty()) {}
 
-  void consume(const i64* d, size_t n) {
-    while (n != 0) {
-      const size_t take = std::min(kCodesPerTile - fill_, n);
-      sat_ += ops_.encode(d, take, codes() + fill_);
-      fill_ += take;
-      d += take;
-      n -= take;
-      if (fill_ == kCodesPerTile) flush();
-    }
-  }
-
-  /// Segment-producer form of consume: `fn(off, take, out)` writes `take`
-  /// codes for logical offsets [off, off + take) directly into the tile
-  /// buffer and returns its saturation count.  Lets the fused delta+encode
-  /// kernels emit codes without an intermediate delta row.
+  /// Segment producer: `fn(off, take, out)` writes `take` codes for
+  /// logical offsets [off, off + take) directly into the tile buffer and
+  /// returns its saturation count, so the fused delta+encode kernels emit
+  /// codes without an intermediate delta row.
   template <typename Fn>
   void produce(size_t n, Fn&& fn) {
     size_t off = 0;
@@ -917,148 +775,6 @@ class TileSink {
   u8 local_flags_[kBlocksPerTile];        ///< compacting mode only
 };
 
-// Plain integer delta rows (Lorenzo residuals of pre-quantized values);
-// bit-identical at any tier by construction, so scalar code the compiler
-// auto-vectorizes is enough.  `cur`/`prev` are the pre-quantized rows,
-// `ppy`/`ppy1` rows y and y-1 of the previous plane (zeros where absent).
-void delta_row_2d(const i64* cur, const i64* prev, size_t nx, i64* d) {
-  d[0] = cur[0] - prev[0];
-  for (size_t x = 1; x < nx; ++x)
-    d[x] = cur[x] - cur[x - 1] - prev[x] + prev[x - 1];
-}
-
-void delta_row_3d(const i64* cur, const i64* prev, const i64* ppy,
-                  const i64* ppy1, size_t nx, i64* d) {
-  d[0] = cur[0] - prev[0] - ppy[0] + ppy1[0];
-  for (size_t x = 1; x < nx; ++x)
-    d[x] = cur[x] - cur[x - 1] - prev[x] + prev[x - 1] - ppy[x] + ppy[x - 1] +
-           ppy1[x] - ppy1[x - 1];
-}
-
-template <typename T>
-FusedTileResult fused_impl(std::span<const T> data, Dims dims, double abs_eb,
-                           bool f32_fast, std::span<u32> shuffled,
-                           std::span<u8> byte_flags, std::span<u8> bit_flags,
-                           std::span<i64> row_scratch,
-                           std::span<i64> plane_scratch, SimdLevel level) {
-  FZ_REQUIRE(abs_eb > 0, "fused: error bound must be positive");
-  FZ_REQUIRE(data.size() == dims.count(), "fused: dims/size mismatch");
-  FZ_REQUIRE(data.size() > 0, "fused: empty input");
-  const size_t padded = round_up(data.size(), kCodesPerTile);
-  const size_t words = padded * sizeof(u16) / sizeof(u32);
-  FZ_REQUIRE(shuffled.size() == words, "fused: shuffled size mismatch");
-  FZ_REQUIRE(byte_flags.size() == words / kBlockWords &&
-                 bit_flags.size() == words / kBlockWords / 8,
-             "fused: flag size mismatch");
-  FZ_REQUIRE(row_scratch.size() >= fused_row_scratch_elems(dims),
-             "fused: row scratch too small");
-  FZ_REQUIRE(plane_scratch.size() >= fused_plane_scratch_elems(dims),
-             "fused: plane scratch too small");
-
-  const double inv = 1.0 / (2.0 * abs_eb);
-  const float invf = static_cast<float>(inv);
-  const KernelOps ops = ops_for(level);
-  const bool fast = f32_fast && f32_fast_ok(inv);
-  auto prequant_row = [&](const T* src, size_t n, i64* dst) {
-    if constexpr (std::is_same_v<T, f32>) {
-      if (fast)
-        ops.prequant_f32fast(src, n, inv, invf, dst);
-      else
-        ops.prequant_f32(src, n, inv, dst);
-    } else {
-      if (fast)
-        ops.prequant_f64fast(src, n, inv, invf, dst);
-      else
-        ops.prequant_f64(src, n, inv, dst);
-    }
-  };
-
-  TileSink sink(ops, shuffled, byte_flags, bit_flags);
-  FusedTileResult res;
-
-  switch (dims.rank()) {
-    case 1: {
-      const size_t n = data.size();
-      const size_t chunk = std::min(round_up(n, 8), kFusedChunk1D);
-      // p carries one pad slot in front holding the previous chunk's last
-      // value, so the delta loop needs no boundary case.
-      i64* p = row_scratch.data();
-      i64* d = p + chunk + 1;
-      p[0] = 0;
-      for (size_t b = 0; b < n; b += chunk) {
-        const size_t m = std::min(chunk, n - b);
-        prequant_row(data.data() + b, m, p + 1);
-        for (size_t x = 0; x < m; ++x) d[x] = p[x + 1] - p[x];
-        if (b == 0) {
-          res.anchor = d[0];  // d[0] == p[1] == prequant of the first value
-          d[0] = 0;
-        }
-        sink.consume(d, m);
-        p[0] = p[m];
-      }
-      break;
-    }
-    case 2: {
-      const size_t nx = dims.x, ny = dims.y;
-      const size_t stride = round_up(nx, 8);
-      i64* rows[2] = {row_scratch.data(), row_scratch.data() + stride};
-      i64* d = row_scratch.data() + 2 * stride;
-      i64* zrow = row_scratch.data() + 3 * stride;
-      std::fill(zrow, zrow + nx, i64{0});
-      const i64* prev = zrow;
-      for (size_t y = 0; y < ny; ++y) {
-        i64* cur = rows[y & 1];
-        prequant_row(data.data() + y * nx, nx, cur);
-        delta_row_2d(cur, prev, nx, d);
-        if (y == 0) {
-          res.anchor = d[0];
-          d[0] = 0;
-        }
-        sink.consume(d, nx);
-        prev = cur;
-      }
-      break;
-    }
-    default: {
-      const size_t nx = dims.x, ny = dims.y, nz = dims.z;
-      const size_t stride = round_up(nx, 8);
-      i64* rows[2] = {row_scratch.data(), row_scratch.data() + stride};
-      i64* d = row_scratch.data() + 2 * stride;
-      i64* zrow = row_scratch.data() + 3 * stride;
-      std::fill(zrow, zrow + nx, i64{0});
-      i64* plane = plane_scratch.data();
-      std::fill(plane, plane + nx * ny, i64{0});
-      for (size_t z = 0; z < nz; ++z) {
-        const i64* prev = zrow;
-        for (size_t y = 0; y < ny; ++y) {
-          i64* cur = rows[y & 1];
-          prequant_row(data.data() + (z * ny + y) * nx, nx, cur);
-          const i64* ppy = plane + y * nx;
-          const i64* ppy1 = y > 0 ? plane + (y - 1) * nx : zrow;
-          delta_row_3d(cur, prev, ppy, ppy1, nx, d);
-          if (z == 0 && y == 0) {
-            res.anchor = d[0];
-            d[0] = 0;
-          }
-          sink.consume(d, nx);
-          // Row y-1 of the previous plane is dead once row y's deltas are
-          // out; replace it with the current plane's row y-1 (delayed one
-          // row, because row y's deltas still needed the old row y-1).
-          if (y > 0) std::memcpy(plane + (y - 1) * nx, prev,
-                                 nx * sizeof(i64));
-          prev = cur;
-        }
-        std::memcpy(plane + (ny - 1) * nx, prev, nx * sizeof(i64));
-      }
-      break;
-    }
-  }
-
-  sink.finish();
-  res.saturated = sink.saturated();
-  return res;
-}
-
 // ---- tile-parallel strips --------------------------------------------------
 
 // Rows per pre-quantization batch in the strip body: one kernel dispatch
@@ -1106,9 +822,9 @@ struct StripExtent {
 
 /// One strip of the tile-parallel fused pass.  Re-prequantizes the halo its
 /// Lorenzo stencil reaches across the strip boundary (pointwise, so the
-/// values match what the serial pass carried bit-for-bit), then streams its
-/// rows through batched prequantization and the fused delta+encode kernels
-/// into `sink`, a TileSink over the strip's own tiles.  `anchor` is written
+/// values match what the previous strip computed bit-for-bit), then
+/// streams its rows through batched prequantization and the fused
+/// delta+encode kernels into `sink`, a TileSink over the strip's own tiles.  `anchor` is written
 /// only by the strip containing element 0.  Returns the halo element count.
 template <typename T>
 size_t run_fused_strip(std::span<const T> data, Dims dims, double inv,
@@ -1122,10 +838,7 @@ size_t run_fused_strip(std::span<const T> data, Dims dims, double inv,
       else
         ops.prequant_f32(src, n, inv, dst);
     } else {
-      if (fast)
-        ops.prequant_f64fast(src, n, inv, invf, dst);
-      else
-        ops.prequant_f64(src, n, inv, dst);
+      ops.prequant_f64(src, n, inv, dst);
     }
   };
 
@@ -1229,8 +942,8 @@ size_t run_fused_strip(std::span<const T> data, Dims dims, double inv,
       const size_t x_off = ext.begin % nx;
       const size_t z_last = (ext.end - 1) / nxy;
 
-      // Halo init: rebuild the serial pass's plane state at (z_first,
-      // y_first) by re-prequantizing it.  At that point the delayed copies
+      // Halo init: rebuild the rolling plane state at (z_first, y_first)
+      // by re-prequantizing it.  At that point the delayed copies
       // have replaced rows [0, y_first-1) with plane z_first; the rest
       // still holds plane z_first-1 (zeros when z_first == 0).
       const size_t lo = y_first == 0 ? 0 : y_first - 1;
@@ -1396,41 +1109,6 @@ FusedTileResult fused_parallel_impl(std::span<const T> data, Dims dims,
 
 // ---- public entry points ---------------------------------------------------
 
-size_t fused_row_scratch_elems(Dims dims) {
-  const size_t nx = dims.rank() == 1
-                        ? std::min(round_up(dims.count(), 8), kFusedChunk1D)
-                        : dims.x;
-  return 4 * (round_up(nx, 8) + 2);
-}
-
-size_t fused_plane_scratch_elems(Dims dims) {
-  return dims.rank() == 3 ? dims.x * dims.y : 0;
-}
-
-FusedTileResult fused_quant_shuffle_mark(FloatSpan data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level) {
-  return fused_impl(data, dims, abs_eb, f32_fast, shuffled, byte_flags,
-                    bit_flags, row_scratch, plane_scratch, level);
-}
-
-FusedTileResult fused_quant_shuffle_mark(std::span<const f64> data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level) {
-  return fused_impl(data, dims, abs_eb, f32_fast, shuffled, byte_flags,
-                    bit_flags, row_scratch, plane_scratch, level);
-}
-
 FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers) {
   const size_t n = dims.count();
   const size_t tiles = div_ceil(std::max<size_t>(n, 1), kCodesPerTile);
@@ -1462,13 +1140,12 @@ FusedTileResult fused_quant_shuffle_mark_parallel(
 }
 
 FusedTileResult fused_quant_shuffle_mark_parallel(
-    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<const f64> data, Dims dims, double abs_eb,
     std::span<u32> shuffled, std::span<u8> byte_flags,
     std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, f32_fast, shuffled,
-                             byte_flags, bit_flags, {}, scratch, plan, level,
-                             sink);
+  return fused_parallel_impl(data, dims, abs_eb, false, shuffled, byte_flags,
+                             bit_flags, {}, scratch, plan, level, sink);
 }
 
 FusedTileResult fused_quant_encode_parallel(
@@ -1481,12 +1158,12 @@ FusedTileResult fused_quant_encode_parallel(
 }
 
 FusedTileResult fused_quant_encode_parallel(
-    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<const f64> data, Dims dims, double abs_eb,
     std::span<u32> blocks, std::span<u8> bit_flags,
     std::span<FusedStripRun> runs, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, f32_fast, blocks, {},
-                             bit_flags, runs, scratch, plan, level, sink);
+  return fused_parallel_impl(data, dims, abs_eb, false, blocks, {}, bit_flags,
+                             runs, scratch, plan, level, sink);
 }
 
 void prequantize_simd(FloatSpan data, double eb, std::span<i64> out,
@@ -1528,26 +1205,6 @@ void prequantize_f32fast(FloatSpan data, double eb, std::span<i64> out,
   }
   parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
     ops.prequant_f32fast(data.data() + b, e - b, inv, invf, out.data() + b);
-  });
-}
-
-void prequantize_f64fast(std::span<const f64> data, double eb,
-                         std::span<i64> out, SimdLevel level) {
-  FZ_REQUIRE(eb > 0, "error bound must be positive");
-  FZ_REQUIRE(data.size() == out.size(), "prequantize: size mismatch");
-  const double inv = 1.0 / (2.0 * eb);
-  const float invf = static_cast<float>(inv);
-  const KernelOps ops = ops_for(level);
-  if (!f32_fast_ok(inv)) {
-    // Same gate as the f32 fast path: a subnormal/zero/infinite fl32(inv)
-    // voids the margin analysis, so every element takes the exact kernel.
-    parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
-      ops.prequant_f64(data.data() + b, e - b, inv, out.data() + b);
-    });
-    return;
-  }
-  parallel_chunks(data.size(), size_t{1} << 15, [&](size_t b, size_t e) {
-    ops.prequant_f64fast(data.data() + b, e - b, inv, invf, out.data() + b);
   });
 }
 

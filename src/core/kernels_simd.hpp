@@ -13,7 +13,7 @@
 // The fused tile pipeline processes the input in cache-resident 4096-byte
 // tiles (2048 u16 codes): quantize -> Lorenzo delta -> sign-magnitude
 // encode -> 32x32 bit transpose -> zero-block flagging in one pass, so the
-// i64 pre-quant array of the unfused graph is never materialized.  Lorenzo
+// i64 pre-quant array of the classic graph is never materialized.  Lorenzo
 // needs the previous row (2-D) / previous plane (3-D) of *pre-quantized*
 // values, which stream through small reused scratch buffers — the same
 // trick the paper's dual-quantization plays on the GPU, where neighbours
@@ -31,7 +31,7 @@ class Sink;
 
 namespace fz {
 
-// ---- standalone vectorized kernels (unfused graph + tests) -----------------
+// ---- standalone vectorized kernels (classic graph + tests) -----------------
 
 /// Vectorized pre-quantization: p_i = llround(d_i / (2 eb)), bit-identical
 /// to the scalar reference at every level.
@@ -52,17 +52,6 @@ void prequantize_simd(std::span<const f64> data, double eb, std::span<i64> out,
 /// adversarial sweeps in tests/test_simd.cpp.
 void prequantize_f32fast(FloatSpan data, double eb, std::span<i64> out,
                          SimdLevel level);
-
-/// The f64 sibling of prequantize_f32fast: narrow the input to f32 once,
-/// then the same float-multiply + lrintf hot loop — still *bit-identical*
-/// to prequantize at every level.  The extra narrowing rounding widens the
-/// margin slope to 2^-21 (three roundings instead of two), and any value
-/// whose f32 image is subnormal-but-nonzero is routed to the exact double
-/// kernel (a value that narrows to exactly 0 stays fast: its scaled
-/// magnitude is provably below 1/2, so 0 is the exact code).  Pinned by
-/// the adversarial sweeps in tests/test_simd.cpp.
-void prequantize_f64fast(std::span<const f64> data, double eb,
-                         std::span<i64> out, SimdLevel level);
 
 /// Vectorized V2 residual encode (sign-magnitude, saturating); returns the
 /// saturation count.  Bit-identical to quant_encode_v2.
@@ -100,56 +89,19 @@ struct FusedTileResult {
   i64 anchor = 0;        ///< pre-quantized first value (header field)
 };
 
-/// Scratch sizing for the fused pipeline: `row` covers the rotating
-/// pre-quantized row buffers + delta row (+ a zero row for absent
-/// neighbours), `plane` the previous-plane buffer (rank 3 only, else 0).
-size_t fused_row_scratch_elems(Dims dims);
-size_t fused_plane_scratch_elems(Dims dims);
-
-/// The fused stage kernel: quantize + Lorenzo + encode + bitshuffle + mark
-/// in one pass over `data`.  Outputs exactly what DualQuantStage +
-/// BitshuffleMarkStage produce — `shuffled` (total_words u32), `byte_flags`
-/// (one per 16-byte block) and `bit_flags` (packed) — byte-for-byte, without
-/// ever materializing the i64[count] pre-quant array.  `row_scratch` /
-/// `plane_scratch` must hold fused_*_scratch_elems(dims) elements (contents
-/// need not be initialized).  V2 quantization only.  `f32_fast` opts into
-/// the margin-tested fast-quant row for the overload's dtype (the f64
-/// overload routes through the prequantize_f64fast kernel); output is
-/// bit-identical either way.
-FusedTileResult fused_quant_shuffle_mark(FloatSpan data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level);
-FusedTileResult fused_quant_shuffle_mark(std::span<const f64> data, Dims dims,
-                                         double abs_eb, bool f32_fast,
-                                         std::span<u32> shuffled,
-                                         std::span<u8> byte_flags,
-                                         std::span<u8> bit_flags,
-                                         std::span<i64> row_scratch,
-                                         std::span<i64> plane_scratch,
-                                         SimdLevel level);
-
-// ---- tile-parallel fused pipeline ------------------------------------------
-//
 // The cuSZ+ observation applied to the host path: pre-quantization is
 // pointwise, so any tile strip can *re-prequantize* the few predecessor
 // values its Lorenzo stencil reaches across the strip boundary (one value
 // in 1-D, one row in 2-D, one plane in 3-D) and then predict independently
 // of every other strip.  Strips are aligned to whole 2048-code tiles, so
 // each worker owns a disjoint region of `shuffled`/`byte_flags`/`bit_flags`
-// and the assembled stream is byte-identical to the serial fused pass for
+// and the assembled stream is byte-identical to the classic graph's for
 // every strip count, dtype and SIMD tier (pinned by
-// tests/test_fused_parallel.cpp).
-//
-// The strip body is also a faster single-thread implementation than the
-// serial streaming pass: rows are pre-quantized in multi-row batches (one
-// dispatch per batch instead of per row) and the Lorenzo delta + sign-
-// magnitude encode run as one fused vector kernel straight into the tile
-// buffer, removing the intermediate delta-row store/reload.
+// tests/test_fused_parallel.cpp).  One strip is the single-thread pass:
+// rows are pre-quantized in multi-row batches (one dispatch per batch
+// instead of per row) and the Lorenzo delta + sign-magnitude encode run as
+// one fused vector kernel straight into the tile buffer, with no
+// intermediate delta row.
 
 struct FusedParallelPlan {
   size_t strips = 1;         ///< actual strip count (<= requested workers)
@@ -172,15 +124,20 @@ FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
 /// belong to a node — and a no-op on single-node machines, when there is
 /// only one strip, or when `bytes` is empty.  Purely a placement hint: the
 /// touched bytes are about-to-be-overwritten scratch, so output streams
-/// are identical with the pass on or off.
+/// never depend on it.
 void fused_first_touch_strips(MutByteSpan bytes, size_t strips);
 
-/// Tile-parallel fused stage kernel.  Same outputs as
-/// fused_quant_shuffle_mark, byte-for-byte, for every plan.  `scratch` must
-/// hold plan.scratch_elems i64 (contents need not be initialized); it is
-/// sliced per strip, so one pooled lease serves every worker.  When `sink`
-/// is non-null each strip records a "fused-strip" span (strip id, halo
-/// elems, consumed bytes) on its worker thread.
+/// Tile-parallel fused kernel, expanded form: quantize + Lorenzo + encode
+/// + bitshuffle + mark in one pass over `data`.  Outputs exactly what
+/// DualQuantStage + BitshuffleMarkStage produce — `shuffled` (total_words
+/// u32), `byte_flags` (one per 16-byte block) and `bit_flags` (packed) —
+/// byte-for-byte for every plan, without ever materializing the i64[count]
+/// pre-quant array.  V2 quantization only.  `scratch` must hold
+/// plan.scratch_elems i64 (contents need not be initialized); it is sliced
+/// per strip, so one pooled lease serves every worker.  `f32_fast` opts
+/// into the margin-tested fast-quant row (output is bit-identical either
+/// way).  When `sink` is non-null each strip records a "fused-strip" span
+/// (strip id, halo elems, consumed bytes) on its worker thread.
 FusedTileResult fused_quant_shuffle_mark_parallel(
     FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
     std::span<u32> shuffled, std::span<u8> byte_flags,
@@ -188,7 +145,7 @@ FusedTileResult fused_quant_shuffle_mark_parallel(
     const FusedParallelPlan& plan, SimdLevel level,
     telemetry::Sink* sink = nullptr);
 FusedTileResult fused_quant_shuffle_mark_parallel(
-    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<const f64> data, Dims dims, double abs_eb,
     std::span<u32> shuffled, std::span<u8> byte_flags,
     std::span<u8> bit_flags, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level,
@@ -221,7 +178,7 @@ FusedTileResult fused_quant_encode_parallel(
     const FusedParallelPlan& plan, SimdLevel level,
     telemetry::Sink* sink = nullptr);
 FusedTileResult fused_quant_encode_parallel(
-    std::span<const f64> data, Dims dims, double abs_eb, bool f32_fast,
+    std::span<const f64> data, Dims dims, double abs_eb,
     std::span<u32> blocks, std::span<u8> bit_flags,
     std::span<FusedStripRun> runs, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level,

@@ -45,13 +45,6 @@ std::vector<ParamIssue> FzParams::validate() const {
     if (radius < 1 || radius > 32767)
       issues.push_back({"radius", "V1 radius must be in [1, 32767] (codes "
                                   "are radius-shifted 16-bit values)"});
-    // The fused host graph has no V1 (outlier-list) tile body; fail the
-    // configuration up front instead of asserting deep inside the stage.
-    if (fused_host_graph)
-      issues.push_back(
-          {"fused_host_graph",
-           "the fused host graph supports V2 quantization only; set "
-           "fused_host_graph = false to compress with V1Original"});
   }
   if (static_cast<u8>(simd) > static_cast<u8>(SimdDispatch::AVX2))
     issues.push_back({"simd", "unknown SIMD dispatch tier"});

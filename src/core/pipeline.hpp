@@ -60,6 +60,10 @@ class ParamError : public Error {
   std::vector<ParamIssue> issues_;
 };
 
+/// Compression parameters and host execution knobs.  The quant version
+/// chooses the stage graph (core/stages.hpp): V2 runs the fused graphs,
+/// V1 the classic ones.  The fields after `radius` are host execution
+/// knobs: none of them changes the stream.
 struct FzParams {
   ErrorBound eb = ErrorBound::relative(1e-3);
   QuantVersion quant = QuantVersion::V2Optimized;
@@ -69,38 +73,14 @@ struct FzParams {
   bool fused_bitshuffle_mark = true;
   /// V1-only: quantization radius.
   u32 radius = 512;
-  /// Host execution: compress through the fused tile pipeline (quantize +
-  /// Lorenzo + encode + bitshuffle + mark in one cache-resident pass, V2
-  /// only; other configurations fall back to the unfused graph).  The
-  /// stream bytes are identical either way — pinned by
-  /// CodecTest.FusedGraphMatchesUnfusedByteForByte.
-  bool fused_host_graph = true;
-  /// Host execution: worker count for the tile-parallel fused pass (and the
-  /// chunk-parallel inverse-Lorenzo scans on decompress).  0 = one strip per
-  /// hardware thread.  Every worker count emits byte-identical streams —
-  /// pinned by tests/test_fused_parallel.cpp — so this is purely a
-  /// performance knob.
+  /// Host execution: strip count for the tile-parallel fused passes
+  /// (compress and decompress) and the chunk-parallel inverse-Lorenzo
+  /// scans of the V1 graph.  0 = one strip per hardware thread.  Every
+  /// worker count emits byte-identical streams and values — pinned by
+  /// tests/test_fused_parallel.cpp and tests/test_golden.cpp.  A fresh
+  /// output lease is first-touched in strip shape, so on a multi-node box
+  /// each strip's pages land near the worker that fills them.
   size_t fused_workers = 0;
-  /// Host execution, ablation/reference knob: run the fused pass serially
-  /// over tiles (the pre-PR5 streaming implementation) instead of the
-  /// tile-parallel halo-recompute strips.  Output bytes are identical; the
-  /// bench harness uses this as the fused-serial baseline.
-  bool fused_serial_tiles = false;
-  /// Host execution: decompress through the fused tile-parallel decode
-  /// graph (scatter + inverse bitshuffle + sign-magnitude decode + inverse
-  /// Lorenzo tile by tile per strip, then dequantize straight into the
-  /// output; the shuffled-word and u16-code arrays never materialize and
-  /// the i64 staging is written once and read once).  V2 streams only — V1/legacy streams are routed to the
-  /// unfused graph automatically.  Output is byte-identical either way —
-  /// pinned by tests/test_fused_decompress.cpp.
-  bool fused_decompress = true;
-  /// Host execution: before the tile-parallel passes fill a fresh (pool
-  /// miss) output lease, touch its pages in strip shape so first-touch
-  /// policy places each strip's pages on the node of the worker that will
-  /// process it.  Best-effort placement hint: a no-op on single-node boxes
-  /// (the common case) and on recycled leases, whose pages already belong
-  /// to whichever node touched them first.
-  bool numa_first_touch = true;
   /// Host execution: SIMD tier for the vectorized kernels.  Auto resolves
   /// from the FZ_SIMD env var / CPUID; every tier is bit-identical, so this
   /// never changes the stream either.
@@ -114,14 +94,6 @@ struct FzParams {
   /// (the bound still holds up to f32 representation precision), which is
   /// why this stays opt-in.
   bool f32_fast_quant = false;
-  /// f64 inputs only: the same margin-tested fast-quant scheme, narrowing
-  /// the input to f32 before the float multiply + lrintf.  The extra
-  /// narrowing rounding widens the margin, and any value whose f32 image
-  /// is subnormal-but-nonzero takes the exact path, so compressed streams
-  /// stay byte-identical to the default path.  Reconstruction is unchanged
-  /// (exact double arithmetic), so unlike f32_fast_quant this flag never
-  /// affects decompressed values.
-  bool f64_fast_quant = false;
   /// Observability sink (src/telemetry/): when set, every stage, chunk, and
   /// pool interaction records spans/counters into it.  The sink must be
   /// thread-safe (fz::telemetry::Sink is); it must outlive every codec that

@@ -51,10 +51,7 @@ void PipelineContext::begin_decompress(BufferPool* p,
   // stream-derived fields (quant, eb, ...) are filled by ParseHeaderStage.
   params.simd = run_params.simd;
   params.f32_fast_quant = run_params.f32_fast_quant;
-  params.f64_fast_quant = run_params.f64_fast_quant;
   params.fused_workers = run_params.fused_workers;
-  params.fused_decompress = run_params.fused_decompress;
-  params.numa_first_touch = run_params.numa_first_touch;
   dims = {};
   count = n;
   dtype = run_dtype;
@@ -85,7 +82,6 @@ void PipelineContext::release_scratch() {
   scan_scratch.release();
   blocks.release();
   row_scratch.release();
-  plane_scratch.release();
 }
 
 namespace {
@@ -188,11 +184,7 @@ class DualQuantStage final : public Stage {
     ctx.pq = ctx.pool->acquire(ctx.count * sizeof(i64), false);
     const std::span<i64> pq = ctx.pq.as<i64>();
     if (ctx.dtype == sizeof(f64)) {
-      if (ctx.params.f64_fast_quant) {
-        prequantize_f64fast(source<f64>(ctx), ctx.abs_eb, pq, level);
-      } else {
-        prequantize_simd(source<f64>(ctx), ctx.abs_eb, pq, level);
-      }
+      prequantize_simd(source<f64>(ctx), ctx.abs_eb, pq, level);
     } else if (ctx.params.f32_fast_quant) {
       prequantize_f32fast(source<f32>(ctx), ctx.abs_eb, pq, level);
     } else {
@@ -247,22 +239,6 @@ class BitshuffleMarkStage final : public Stage {
   }
 };
 
-/// Prefix-sum offsets + block compaction of the full shuffled array into
-/// the `blocks` lease (encode phase 2): one run for AssembleStage.
-void encode_shuffled_blocks(PipelineContext& ctx) {
-  const size_t nblocks = ctx.total_blocks();
-  ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
-  ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
-  ctx.scan_scratch = ctx.pool->acquire(
-      2 * scan_chunk_count(nblocks) * sizeof(u32), false);
-  ctx.blocks = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
-  ctx.nonzero_blocks = compact_blocks(
-      ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(), ctx.flags32.as<u32>(),
-      ctx.offsets.as<u32>(), ctx.scan_scratch.as<u32>(), ctx.blocks.as<u32>());
-  ctx.run_words = ctx.blocks.as<u32>();
-  ctx.block_runs.assign(1, FusedStripRun{0, ctx.nonzero_blocks});
-}
-
 /// The fused host pipeline (paper §3.4's fusion idea applied to the whole
 /// compress hot path): pre-quantize + Lorenzo + residual encode + tile
 /// bitshuffle + zero-block mark + compaction in one pass over the input,
@@ -284,60 +260,33 @@ class FusedQuantShuffleMarkStage final : public Stage {
     ctx.shuffled = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
     ctx.bit_flags = ctx.pool->acquire(div_ceil(ctx.total_blocks(), 8), false);
 
+    // Tile-parallel strips with halo re-prequantization: one pooled lease
+    // sliced per strip, byte-identical for every plan.
+    const FusedParallelPlan plan =
+        fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
+    // Best-effort NUMA placement: touch each strip's output slice in strip
+    // shape while the lease's pages are still uncommitted.
+    if (ctx.shuffled.fresh())
+      fused_first_touch_strips(ctx.shuffled.bytes(), plan.strips);
+    ctx.row_scratch =
+        ctx.pool->acquire(plan.scratch_elems * sizeof(i64), false);
+    ctx.block_runs.resize(plan.strips);
     FusedTileResult r;
-    if (ctx.params.fused_serial_tiles) {
-      // Ablation / reference path: the pre-PR5 serial streaming pass into
-      // the expanded arrays, then the unfused graph's compaction.
-      ctx.byte_flags = ctx.pool->acquire(ctx.total_blocks(), false);
-      ctx.row_scratch = ctx.pool->acquire(
-          fused_row_scratch_elems(ctx.dims) * sizeof(i64), false);
-      const size_t plane_elems = fused_plane_scratch_elems(ctx.dims);
-      std::span<i64> plane;
-      if (plane_elems != 0) {
-        ctx.plane_scratch =
-            ctx.pool->acquire(plane_elems * sizeof(i64), false);
-        plane = ctx.plane_scratch.as<i64>();
-      }
-      if (ctx.dtype == sizeof(f64)) {
-        r = fused_quant_shuffle_mark(
-            source<f64>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f64_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plane, level);
-      } else {
-        r = fused_quant_shuffle_mark(
-            source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
-            ctx.bit_flags.as<u8>(), ctx.row_scratch.as<i64>(), plane, level);
-      }
-      encode_shuffled_blocks(ctx);
+    if (ctx.dtype == sizeof(f64)) {
+      r = fused_quant_encode_parallel(
+          source<f64>(ctx), ctx.dims, ctx.abs_eb, ctx.shuffled.as<u32>(),
+          ctx.bit_flags.as<u8>(), ctx.block_runs, ctx.row_scratch.as<i64>(),
+          plan, level, ctx.sink);
     } else {
-      // Tile-parallel strips with halo re-prequantization: one pooled lease
-      // sliced per strip, byte-identical to the serial pass for every plan.
-      const FusedParallelPlan plan =
-          fused_parallel_plan(ctx.dims, ctx.params.fused_workers);
-      // Best-effort NUMA placement: touch each strip's output slice in
-      // strip shape while the lease's pages are still uncommitted.
-      if (ctx.params.numa_first_touch && ctx.shuffled.fresh())
-        fused_first_touch_strips(ctx.shuffled.bytes(), plan.strips);
-      ctx.row_scratch =
-          ctx.pool->acquire(plan.scratch_elems * sizeof(i64), false);
-      ctx.block_runs.resize(plan.strips);
-      if (ctx.dtype == sizeof(f64)) {
-        r = fused_quant_encode_parallel(
-            source<f64>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f64_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), ctx.block_runs,
-            ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
-      } else {
-        r = fused_quant_encode_parallel(
-            source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
-            ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), ctx.block_runs,
-            ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
-      }
-      ctx.run_words = ctx.shuffled.as<u32>();
-      ctx.nonzero_blocks = 0;
-      for (const FusedStripRun& run : ctx.block_runs)
-        ctx.nonzero_blocks += run.blocks;
+      r = fused_quant_encode_parallel(
+          source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
+          ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), ctx.block_runs,
+          ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
     }
+    ctx.run_words = ctx.shuffled.as<u32>();
+    ctx.nonzero_blocks = 0;
+    for (const FusedStripRun& run : ctx.block_runs)
+      ctx.nonzero_blocks += run.blocks;
     ctx.anchor = r.anchor;
     ctx.stats.saturated = r.saturated;
     ctx.radius = 0;
@@ -351,12 +300,26 @@ class FusedQuantShuffleMarkStage final : public Stage {
   }
 };
 
-/// Prefix-sum offsets + block compaction (encode phase 2).
+/// Prefix-sum offsets + block compaction of the full shuffled array into
+/// the `blocks` lease (encode phase 2): one run for AssembleStage.
 class EncodeStage final : public Stage {
  public:
   const char* name() const override { return "prefix-sum-encode"; }
 
-  void run(PipelineContext& ctx) const override { encode_shuffled_blocks(ctx); }
+  void run(PipelineContext& ctx) const override {
+    const size_t nblocks = ctx.total_blocks();
+    ctx.flags32 = ctx.pool->acquire(nblocks * sizeof(u32), false);
+    ctx.offsets = ctx.pool->acquire(nblocks * sizeof(u32), false);
+    ctx.scan_scratch = ctx.pool->acquire(
+        2 * scan_chunk_count(nblocks) * sizeof(u32), false);
+    ctx.blocks = ctx.pool->acquire(ctx.total_words() * sizeof(u32), false);
+    ctx.nonzero_blocks = compact_blocks(
+        ctx.shuffled.as<u32>(), ctx.byte_flags.as<u8>(),
+        ctx.flags32.as<u32>(), ctx.offsets.as<u32>(),
+        ctx.scan_scratch.as<u32>(), ctx.blocks.as<u32>());
+    ctx.run_words = ctx.blocks.as<u32>();
+    ctx.block_runs.assign(1, FusedStripRun{0, ctx.nonzero_blocks});
+  }
 };
 
 /// Header + sections -> the self-describing output stream.
@@ -549,7 +512,7 @@ class FusedDecodeStage final : public Stage {
     // Best-effort NUMA placement: touch each plane strip's staging slice
     // in strip shape while the lease's pages are still uncommitted (a row
     // strip's slices are interleaved across planes; leave those alone).
-    if (ctx.params.numa_first_touch && ctx.pq.fresh() && !plan.rows)
+    if (ctx.pq.fresh() && !plan.rows)
       fused_first_touch_strips(ctx.pq.bytes(), plan.strips);
     if (ctx.dtype == sizeof(f64)) {
       run_impl<f64>(ctx, plan);

@@ -7,29 +7,22 @@
 // from a BufferPool so steady-state runs never allocate), and the
 // data-dependent results the next stage or the stream assembly needs.
 //
-// Compression graph (paper Fig. 1; the unfused graph):
-//   ResolveTransformStage   validate input, resolve eb, optional log x-form
-//   DualQuantStage          pre-quantize + Lorenzo + residual codes (3.2)
-//   BitshuffleMarkStage     tile bitshuffle + block flags (3.3/3.4 phase 1)
-//   EncodeStage             prefix-sum offsets + block compaction (3.4)
-//   AssembleStage           header + sections -> output stream
+// One graph per quant version: fz::Codec runs the fused graphs for V2 (the
+// default, FZ's contribution) and the classic graphs for V1, choosing from
+// FzParams::quant on compress and from the stream's quant byte on
+// decompress.  No parameter routes V2 through the classic graphs; their V2
+// branches serve only as the tests' reference (tests/reference_graph.hpp).
 //
-// The fused compress graph (the default for V2):
-//   ResolveTransformStage       as above; one read validates and ranges
+// The fused compress graph (V2):
+//   ResolveTransformStage       validate input, resolve eb, optional log
+//                               x-form; one read validates and ranges
 //   FusedQuantShuffleMarkStage  quantize + Lorenzo + encode + bitshuffle +
 //                               mark per tile per strip, appending only the
 //                               nonzero blocks at each strip's cursor
 //   AssembleStage               header + bit flags + strip runs in order
 //
-// Decompression mirrors it in reverse (the classic graph; V1 streams and
-// FzParams::fused_decompress = false):
+// The fused decompress graph (V2 streams):
 //   ParseHeaderStage        validate header, slice stream sections
-//   ScatterUnshuffleStage   scatter nonzero blocks + inverse bitshuffle
-//   InverseQuantStage       decode residuals + inverse Lorenzo
-//   ReconstructStage        dequantize + inverse transform -> output
-//
-// The fused decompress graph (the default for V2 streams):
-//   ParseHeaderStage        as above
 //   FusedDecodeStage        per-tile payload offsets by popcount, then
 //                           scatter (from the stream, in place) + inverse
 //                           bitshuffle + decode + inverse Lorenzo per
@@ -37,7 +30,20 @@
 //                           every plane for thin slabs), then carry +
 //                           dequantize + inverse transform -> output
 //
-// fz::Codec (core/codec.hpp) owns a pool plus both graphs and is the
+// The classic compress graph (V1; paper Fig. 1 unfused):
+//   ResolveTransformStage   as above
+//   DualQuantStage          pre-quantize + Lorenzo + residual codes (3.2)
+//   BitshuffleMarkStage     tile bitshuffle + block flags (3.3/3.4 phase 1)
+//   EncodeStage             prefix-sum offsets + block compaction (3.4)
+//   AssembleStage           header + sections (+ outlier list) -> stream
+//
+// The classic decompress graph (V1 streams) mirrors it in reverse:
+//   ParseHeaderStage        as above
+//   ScatterUnshuffleStage   scatter nonzero blocks + inverse bitshuffle
+//   InverseQuantStage       decode residuals + outliers + inverse Lorenzo
+//   ReconstructStage        dequantize + inverse transform -> output
+//
+// fz::Codec (core/codec.hpp) owns a pool plus all four graphs and is the
 // intended way to run them; fz_compress/fz_decompress are thin one-shot
 // wrappers.  See docs/ARCHITECTURE.md.
 #pragma once
@@ -94,8 +100,7 @@ struct PipelineContext {
                             ///< fused decode: u32[tiles + 1] tile offsets
   PooledBuffer scan_scratch;  ///< u32: blocked-scan chunk totals/offsets
   PooledBuffer blocks;      ///< u32: compacted blocks (worst case sized)
-  PooledBuffer row_scratch;    ///< i64: fused pipeline rolling rows
-  PooledBuffer plane_scratch;  ///< i64: fused pipeline previous plane (3-D)
+  PooledBuffer row_scratch;    ///< i64: fused pipeline strip scratch
 
   // ---- data-dependent results ---------------------------------------------
   i64 anchor = 0;
@@ -132,9 +137,8 @@ struct PipelineContext {
                       size_t n, u8 run_dtype, const void* data,
                       std::vector<u8>* out);
   /// Prepare the context for a decompression run.  `run_params` carries
-  /// only the host execution knobs (simd, fast-quant, fused_workers,
-  /// fused_decompress, numa_first_touch); everything stream-related comes
-  /// from the parsed header.
+  /// only the host execution knobs (simd, f32_fast_quant, fused_workers);
+  /// everything stream-related comes from the parsed header.
   void begin_decompress(BufferPool* p, const FzParams& run_params,
                         ByteSpan run_stream, size_t n, u8 run_dtype,
                         void* out);
@@ -159,11 +163,12 @@ using StageGraph = std::vector<std::unique_ptr<Stage>>;
 double finite_value_range(FloatSpan data);
 double finite_value_range(std::span<const f64> data);
 
-/// Build the compression / decompression stage graphs (see file comment).
+/// Build the classic compression / decompression stage graphs (see file
+/// comment): the V1 path, and the tests' V2 reference.
 StageGraph make_compress_stages();
 StageGraph make_decompress_stages();
 
-/// The fused-host compression graph: DualQuantStage + BitshuffleMarkStage
+/// The fused compression graph (V2): DualQuantStage + BitshuffleMarkStage
 /// + EncodeStage are replaced by one FusedQuantShuffleMarkStage that
 /// streams the input through cache-resident tiles (core/kernels_simd.hpp)
 /// and compacts each tile's nonzero blocks as it flushes, never
@@ -181,7 +186,7 @@ StageGraph make_compress_stages_fused();
 /// the shuffled-word and u16-code arrays never materialize and the i64
 /// staging is written once and read once.  At one worker nothing forks.  V2
 /// streams only (fz::Codec peeks the header and routes V1 streams to the
-/// unfused graph); the output is byte-identical to
+/// classic graph); the output is byte-identical to
 /// make_decompress_stages().
 StageGraph make_decompress_stages_fused();
 

@@ -13,6 +13,7 @@
 #include "core/codec.hpp"
 #include "datasets/generators.hpp"
 #include "metrics/metrics.hpp"
+#include "reference_graph.hpp"
 
 // Program-wide allocation counter for the steady-state test: every operator
 // new variant is replaced, including the aligned array forms AlignedBuffer
@@ -159,16 +160,19 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   EXPECT_GE(g_alloc_count.load(), before);
 #endif
 
-  // The loop above rides the fused decompress graph (the default); the
-  // classic staged graph must stay allocation-free in steady state too.
-  FzParams unfused = params;
-  unfused.fused_decompress = false;
-  Codec classic(unfused);
+  // The loop above rides the fused decompress graph (V2 streams); the
+  // classic staged graph, which V1 streams take, must stay allocation-free
+  // in steady state too.
+  FzParams v1 = params;
+  v1.quant = QuantVersion::V1Original;
+  Codec classic(v1);
+  const FzCompressed c1 = classic.compress(f.values(), f.dims);
   for (int round = 0; round < 3; ++round)  // warm the classic scratch set
-    classic.decompress_into(c.bytes, out);
+    classic.decompress_into(c1.bytes, out);
   const auto classic_warm = classic.pool().stats();
   const size_t classic_before = g_alloc_count.load();
-  for (int round = 0; round < 3; ++round) classic.decompress_into(c.bytes, out);
+  for (int round = 0; round < 3; ++round)
+    classic.decompress_into(c1.bytes, out);
   const auto classic_steady = classic.pool().stats();
   EXPECT_EQ(classic_steady.misses, classic_warm.misses)
       << "classic decompress steady state hit the heap";
@@ -187,7 +191,6 @@ TEST(Codec, SteadyStateHoldsForV1AndPointwiseAndF64) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.eb = ErrorBound::absolute(1e-2);
   FzParams pw;
   pw.eb = ErrorBound::pointwise_relative(1e-3);
@@ -320,8 +323,9 @@ TEST(ChunkedParallel, WorkerCountAboveChunkCountIsFine) {
 }
 
 TEST(Codec, FusedGraphMatchesUnfusedByteForByte) {
-  // ISSUE PR3: the fused tile pipeline must emit *exactly* the bytes the
-  // unfused five-stage graph emits, for every rank, dtype and SIMD tier.
+  // The fused tile pipeline must emit *exactly* the bytes the classic
+  // five-stage graph (tests/reference_graph.hpp) emits, for every rank,
+  // dtype and SIMD tier.
   const Dims cases[] = {Dims{4113}, Dims{129, 65}, Dims{24, 17, 9}};
   for (const Dims dims : cases) {
     const Field f = noisy_field(dims, 5 + dims.count());
@@ -329,50 +333,41 @@ TEST(Codec, FusedGraphMatchesUnfusedByteForByte) {
     for (const SimdDispatch d :
          {SimdDispatch::Auto, SimdDispatch::Scalar, SimdDispatch::SSE2,
           SimdDispatch::AVX2}) {
-      FzParams unfused;
-      unfused.eb = ErrorBound::relative(1e-3);
-      unfused.fused_host_graph = false;
-      unfused.simd = d;
-      FzParams fused = unfused;
-      fused.fused_host_graph = true;
+      FzParams params;
+      params.eb = ErrorBound::relative(1e-3);
+      params.simd = d;
 
-      Codec cu(unfused), cf(fused);
-      const auto u32s = cu.compress(f.values(), f.dims);
+      Codec cf(params);
+      const auto u32s = ref::compress(f.values(), f.dims, params);
       const auto f32s = cf.compress(f.values(), f.dims);
       ASSERT_EQ(u32s.bytes, f32s.bytes) << "f32 dims " << dims.x;
       EXPECT_EQ(u32s.stats.saturated, f32s.stats.saturated);
 
-      const auto u64s = cu.compress(std::span<const f64>{wide}, f.dims);
+      const auto u64s =
+          ref::compress(std::span<const f64>{wide}, f.dims, params);
       const auto f64s = cf.compress(std::span<const f64>{wide}, f.dims);
       ASSERT_EQ(u64s.bytes, f64s.bytes) << "f64 dims " << dims.x;
     }
   }
 }
 
-TEST(Codec, FusedGraphMatchesUnfusedWithTransformsAndV1Rejected) {
+TEST(Codec, FusedGraphMatchesUnfusedWithTransformsAndV1RunsClassic) {
   // Log transform feeds the fused stage from the transformed buffer; a V1
-  // quantization request with the fused graph is a configuration error
-  // caught at validate() time (the fused tile body is V2-only).
+  // codec runs the classic graph, so its stream is the reference's.
   const Field f = noisy_field(Dims{96, 40}, 41);
   FzParams base;
   base.eb = ErrorBound::pointwise_relative(1e-3);
-  FzParams fused = base;
-  fused.fused_host_graph = true;
-  FzParams unfused = base;
-  unfused.fused_host_graph = false;
-  Codec cf(fused), cu(unfused);
+  Codec cf(base);
   EXPECT_EQ(cf.compress(f.values(), f.dims).bytes,
-            cu.compress(f.values(), f.dims).bytes);
+            ref::compress(f.values(), f.dims, base).bytes);
 
-  FzParams v1 = fused;
+  FzParams v1 = base;
   v1.eb = ErrorBound::relative(1e-3);
   v1.quant = QuantVersion::V1Original;
-  EXPECT_THROW(Codec{v1}, ParamError);
-  FzParams v1u = v1;
-  v1u.fused_host_graph = false;
-  Codec cv1u(v1u);
-  const auto a = cv1u.compress(f.values(), f.dims);
-  const FzDecompressed rt = cv1u.decompress(a.bytes);
+  Codec cv1(v1);
+  const auto a = cv1.compress(f.values(), f.dims);
+  EXPECT_EQ(a.bytes, ref::compress(f.values(), f.dims, v1).bytes);
+  const FzDecompressed rt = cv1.decompress(a.bytes);
   EXPECT_TRUE(error_bounded(f.values(), rt.data, a.stats.abs_eb));
 }
 

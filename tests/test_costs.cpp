@@ -50,7 +50,6 @@ TEST(CostModel, V1WritesMoreThanV2) {
   const FzStats st = stats_for(1 << 20, 0.3, /*outliers=*/1000);
   FzParams v1, v2;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   EXPECT_GT(fz_compression_costs(st, v1)[0].global_bytes(),
             fz_compression_costs(st, v2)[0].global_bytes());
 }

@@ -37,6 +37,7 @@
 #include "core/lorenzo.hpp"
 #include "datasets/field.hpp"
 #include "reader/reader.hpp"
+#include "reference_graph.hpp"
 #include "service/service.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -129,16 +130,12 @@ void sweep_dtype(SimdLevel level, Dims dims) {
 
   // Reference: the classic staged graph (scatter-unshuffle / inverse-quant),
   // single worker.
-  FzParams ref = cp;
-  ref.fused_decompress = false;
-  Codec ref_codec(ref);
   std::vector<T> want(data.size());
-  ASSERT_EQ(ref_codec.decompress_into(c.bytes, want), dims);
+  ASSERT_EQ(ref::decompress_into(c.bytes, std::span<T>{want}, cp), dims);
 
   for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     FzParams dp = cp;
     dp.fused_workers = workers;
-    dp.fused_decompress = true;
     Codec codec(dp);
     std::vector<T> got(data.size(), T(-1));
     ASSERT_EQ(codec.decompress_into(c.bytes, got), dims);
@@ -159,23 +156,19 @@ TEST(FusedDecompress, MatchesUnfusedForEveryScheduleDtypeAndRank) {
 
 TEST(FusedDecompress, LegacyV1StreamsRouteToTheClassicGraph) {
   // The fused pass decodes V2 sign-magnitude tiles only; a V1 stream must
-  // transparently ride the classic graph even with the knob on.
+  // transparently ride the classic graph.
   const Dims dims{60, 50};
   const std::vector<f32> data = field<f32>(dims, 7);
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.eb = ErrorBound::absolute(1e-2);
   Codec compressor(v1);
   const FzCompressed c = compressor.compress(std::span<const f32>{data}, dims);
 
-  FzParams on;   // defaults: fused_decompress = true
-  FzParams off;
-  off.fused_decompress = false;
-  Codec codec_on(on), codec_off(off);
+  Codec codec;
   std::vector<f32> a(data.size()), b(data.size());
-  ASSERT_EQ(codec_on.decompress_into(c.bytes, a), dims);
-  ASSERT_EQ(codec_off.decompress_into(c.bytes, b), dims);
+  ASSERT_EQ(codec.decompress_into(c.bytes, a), dims);
+  ASSERT_EQ(ref::decompress_into(c.bytes, std::span<f32>{b}), dims);
   expect_bits_equal<f32>(a, b, "v1 stream");
 }
 
@@ -222,12 +215,10 @@ FzCompressed compress_case(Dims dims, const DecodeCase& dc) {
 template <typename T>
 std::vector<T> classic_decode(const FzCompressed& c, Dims dims,
                               const DecodeCase& dc) {
-  FzParams ref;
-  ref.f32_fast_quant = dc.f32_fast;
-  ref.fused_decompress = false;
-  Codec codec(ref);
+  FzParams dp;
+  dp.f32_fast_quant = dc.f32_fast;
   std::vector<T> want(dims.count());
-  EXPECT_EQ(codec.decompress_into(c.bytes, want), dims);
+  EXPECT_EQ(ref::decompress_into(c.bytes, std::span<T>{want}, dp), dims);
   return want;
 }
 
@@ -405,12 +396,13 @@ TEST(FusedDecompress, PlanSplitsThinSlabsIntoRowStrips) {
 /// and return the FormatError message without its source location ("" when
 /// it decodes).
 std::string format_error(ByteSpan stream, size_t count, bool fused) {
-  FzParams dp;
-  dp.fused_decompress = fused;
-  Codec codec(dp);
   std::vector<f32> out(count);
   try {
-    codec.decompress_into(stream, out);
+    if (fused) {
+      Codec().decompress_into(stream, out);
+    } else {
+      ref::decompress_into(stream, std::span<f32>{out});
+    }
   } catch (const FormatError& e) {
     const std::string what = e.what();
     return what.substr(0, what.rfind(" ("));
@@ -661,24 +653,19 @@ TEST(SimFusedQuant, SplitPlaneHaloKeepsCooperativeStagingWithinBudget) {
   const double abs_eb = 0.01;
 
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
-  const size_t blocks = words / kBlockWords;
-  std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-      host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  std::vector<u32> sim_shuffled(words);
+  const ref::FusedTiles host = ref::one_strip_tiles(
+      f.values(), f.dims, abs_eb, SimdLevel::Scalar);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
   const auto cost = sim_fused_quant_shuffle_mark_strips(
       f.values(), f.dims, abs_eb, sim_shuffled, sim_byte, sim_bit, anchor);
   EXPECT_EQ(cost.name, "fused-quant-shuffle-mark-strips");
-  EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(sim_byte, host_byte);
-  EXPECT_EQ(sim_bit, host_bit);
-  EXPECT_EQ(anchor[0], host.anchor);
+  EXPECT_EQ(sim_shuffled, host.shuffled);
+  EXPECT_EQ(sim_byte, host.byte_flags);
+  EXPECT_EQ(sim_bit, host.bit_flags);
+  EXPECT_EQ(anchor[0], host.res.anchor);
 }
 
 TEST(SimFusedQuant, FallsBackOnlyWhenSplitWindowsBlowTheBudgetToo) {
@@ -693,23 +680,18 @@ TEST(SimFusedQuant, FallsBackOnlyWhenSplitWindowsBlowTheBudgetToo) {
   for (auto& v : f.data) v = static_cast<f32>(rng.uniform(-50.0, 50.0));
 
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
-  const size_t blocks = words / kBlockWords;
-  std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, 0.01, /*f32_fast=*/false, host_shuffled, host_byte,
-      host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  std::vector<u32> sim_shuffled(words);
+  const ref::FusedTiles host = ref::one_strip_tiles(
+      f.values(), f.dims, 0.01, SimdLevel::Scalar);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
   const auto cost = sim_fused_quant_shuffle_mark_strips(
       f.values(), f.dims, 0.01, sim_shuffled, sim_byte, sim_bit, anchor);
   EXPECT_EQ(cost.name, "fused-quant-shuffle-mark");
-  EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(sim_byte, host_byte);
-  EXPECT_EQ(anchor[0], host.anchor);
+  EXPECT_EQ(sim_shuffled, host.shuffled);
+  EXPECT_EQ(sim_byte, host.byte_flags);
+  EXPECT_EQ(anchor[0], host.res.anchor);
 }
 
 // ---- end-to-end surfaces ---------------------------------------------------

@@ -1,12 +1,13 @@
-// Schedule independence of the tile-parallel fused pipeline (ISSUE PR5):
-// the strip-parallel kernel must produce byte-identical output to the
-// serial fused pass for EVERY worker count, dtype, SIMD tier and rank —
-// the halo re-prequantization makes each strip's stencil inputs pointwise
-// recomputations of the exact values the serial pass carried, so the
-// partition never shows in the stream.  Also pins the plan's determinism,
-// the per-strip telemetry spans, and Codec-level stream equality across
-// fused_workers settings (including the fused_serial_tiles reference
-// path).
+// Schedule independence of the tile-parallel fused pipeline: the
+// strip-parallel kernel must produce byte-identical output to its own
+// one-strip pass for EVERY worker count, dtype, SIMD tier and rank — the
+// halo re-prequantization makes each strip's stencil inputs pointwise
+// recomputations of the exact values the previous strip computed, so the
+// partition never shows in the stream.  (The one-strip pass is pinned to
+// the classic stages by tests/test_simd.cpp.)  Also pins the plan's
+// determinism, the per-strip telemetry spans, and Codec-level stream
+// equality across fused_workers settings against the classic graph
+// (tests/reference_graph.hpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/bits.hpp"
@@ -24,6 +26,7 @@
 #include "core/codec.hpp"
 #include "core/encoder.hpp"
 #include "core/kernels_simd.hpp"
+#include "reference_graph.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace fz {
@@ -65,22 +68,6 @@ struct FusedOut {
 };
 
 template <typename T>
-FusedOut run_serial(std::span<const T> data, Dims dims, double eb,
-                    SimdLevel level) {
-  const size_t words = round_up(data.size(), kCodesPerTile) / 2;
-  FusedOut o;
-  o.shuffled.assign(words, 0xdeadbeefu);
-  o.byte_flags.assign(words / kBlockWords, 0xcd);
-  o.bit_flags.assign(div_ceil(o.byte_flags.size(), 8), 0xcd);
-  std::vector<i64> row(fused_row_scratch_elems(dims), -1);
-  std::vector<i64> plane(fused_plane_scratch_elems(dims), -1);
-  o.res = fused_quant_shuffle_mark(data, dims, eb, false, o.shuffled,
-                                   o.byte_flags, o.bit_flags, row, plane,
-                                   level);
-  return o;
-}
-
-template <typename T>
 FusedOut run_parallel(std::span<const T> data, Dims dims, double eb,
                       size_t workers, SimdLevel level,
                       telemetry::Sink* sink = nullptr) {
@@ -91,9 +78,15 @@ FusedOut run_parallel(std::span<const T> data, Dims dims, double eb,
   o.bit_flags.assign(div_ceil(o.byte_flags.size(), 8), 0xcd);
   const FusedParallelPlan plan = fused_parallel_plan(dims, workers);
   std::vector<i64> scratch(plan.scratch_elems, -1);
-  o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, false, o.shuffled,
-                                            o.byte_flags, o.bit_flags, scratch,
-                                            plan, level, sink);
+  if constexpr (std::is_same_v<T, f32>) {
+    o.res = fused_quant_shuffle_mark_parallel(
+        data, dims, eb, false, o.shuffled, o.byte_flags, o.bit_flags,
+        scratch, plan, level, sink);
+  } else {
+    o.res = fused_quant_shuffle_mark_parallel(
+        data, dims, eb, o.shuffled, o.byte_flags, o.bit_flags, scratch, plan,
+        level, sink);
+  }
   return o;
 }
 
@@ -102,7 +95,8 @@ void check_schedule_independent(Dims dims, double eb, u64 seed) {
   const auto data = field<T>(dims, seed);
   const std::span<const T> span{data};
   for (const SimdLevel level : levels_under_test()) {
-    const FusedOut want = run_serial(span, dims, eb, level);
+    // The single-thread reference: one strip.
+    const FusedOut want = run_parallel(span, dims, eb, 1, level);
     for (const size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
       const FusedOut got = run_parallel(span, dims, eb, workers, level);
       const std::string where = std::string(simd_level_name(level)) + " dims " +
@@ -139,7 +133,7 @@ TEST(FusedParallel, ByteIdenticalWithSaturationAndCoarseBound) {
   data[dims.count() - 1] = 2.5e9f;
   const std::span<const f32> span{data};
   for (const SimdLevel level : levels_under_test()) {
-    const FusedOut want = run_serial(span, dims, 20.0, level);
+    const FusedOut want = run_parallel(span, dims, 20.0, 1, level);
     EXPECT_GT(want.res.saturated, 0u);
     for (const size_t workers : {size_t{2}, size_t{8}}) {
       const FusedOut got = run_parallel(span, dims, 20.0, workers, level);
@@ -238,8 +232,14 @@ CompactOut run_compacting(std::span<const T> data, Dims dims, double eb,
   std::vector<i64> scratch(plan.scratch_elems, -1);
   CompactOut o;
   o.bit_flags.assign(div_ceil(words / kBlockWords, 8), 0xcd);
-  o.res = fused_quant_encode_parallel(data, dims, eb, fast, out, o.bit_flags,
-                                      runs, scratch, plan, level);
+  if constexpr (std::is_same_v<T, f32>) {
+    o.res = fused_quant_encode_parallel(data, dims, eb, fast, out,
+                                        o.bit_flags, runs, scratch, plan,
+                                        level);
+  } else {
+    o.res = fused_quant_encode_parallel(data, dims, eb, out, o.bit_flags,
+                                        runs, scratch, plan, level);
+  }
   // Each run starts at its strip's first tile and fits inside its tiles.
   const size_t tiles = words / kTileWords;
   const size_t tiles_per = div_ceil(tiles, plan.strips);
@@ -264,9 +264,15 @@ CompactOut run_expanded_then_compact(std::span<const T> data, Dims dims,
   std::vector<i64> scratch(plan.scratch_elems);
   CompactOut o;
   o.bit_flags.resize(div_ceil(byte_flags.size(), 8));
-  o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, fast, shuffled,
-                                            byte_flags, o.bit_flags, scratch,
-                                            plan, level);
+  if constexpr (std::is_same_v<T, f32>) {
+    o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, fast, shuffled,
+                                              byte_flags, o.bit_flags,
+                                              scratch, plan, level);
+  } else {
+    o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, shuffled,
+                                              byte_flags, o.bit_flags,
+                                              scratch, plan, level);
+  }
   compact_blocks(shuffled, byte_flags, o.blocks);
   return o;
 }
@@ -277,6 +283,8 @@ void check_compaction_matches(const std::vector<T>& data, Dims dims,
   const std::span<const T> span{data};
   for (const SimdLevel level : levels_under_test()) {
     for (const bool fast : {false, true}) {
+      // Only f32 has a fast-quant row.
+      if (fast && !std::is_same_v<T, f32>) continue;
       const CompactOut want =
           run_expanded_then_compact(span, dims, eb, fast, level);
       for (const size_t workers :
@@ -361,7 +369,7 @@ TEST(FusedCompaction, StripsWithNoNonzeroBlocks) {
 }
 
 TEST(FusedCompaction, CodecStreamsMatchUnfusedGraph) {
-  // The fused graph (compacting strips) against the unfused five-stage
+  // The fused graph (compacting strips) against the classic five-stage
   // graph, across ranks, dtypes, bound modes, fast-quant and workers.
   for (const Dims dims : {Dims{5000}, Dims{96, 41}, Dims{32, 24, 24}}) {
     auto data = field<f32>(dims, 77 + dims.count());
@@ -373,16 +381,12 @@ TEST(FusedCompaction, CodecStreamsMatchUnfusedGraph) {
       for (const bool fast : {false, true}) {
         FzParams unfused;
         unfused.eb = eb;
-        unfused.fused_host_graph = false;
         unfused.f32_fast_quant = fast;
-        unfused.f64_fast_quant = fast;
-        Codec cu(unfused);
-        const std::vector<u8> want32 = cu.compress(data, dims).bytes;
+        const std::vector<u8> want32 = ref::compress(data, dims, unfused).bytes;
         const std::vector<u8> want64 =
-            cu.compress(std::span<const f64>{wide}, dims).bytes;
+            ref::compress(std::span<const f64>{wide}, dims, unfused).bytes;
         for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
           FzParams fused = unfused;
-          fused.fused_host_graph = true;
           fused.fused_workers = workers;
           Codec cf(fused);
           const std::string where = dims_label(dims) + " workers " +
@@ -399,35 +403,48 @@ TEST(FusedCompaction, CodecStreamsMatchUnfusedGraph) {
 }
 
 TEST(FusedCompaction, ChunkedContainersMatchUnfusedGraph) {
+  // Every chunk of the container is the classic graph's stream of its slab
+  // at the container's resolved absolute bound.
   const Dims dims{48, 40, 24};
   const auto data = field<f32>(dims, 4242);
-  ChunkedParams unfused;
-  unfused.base.eb = ErrorBound::relative(1e-3);
-  unfused.base.fused_host_graph = false;
-  unfused.num_chunks = 5;
-  ChunkedParams fused = unfused;
-  fused.base.fused_host_graph = true;
-  EXPECT_EQ(fz_compress_chunked(data, dims, unfused).bytes,
-            fz_compress_chunked(data, dims, fused).bytes);
+  ChunkedParams fused;
+  fused.base.eb = ErrorBound::relative(1e-3);
+  fused.num_chunks = 5;
+  const ChunkedCompressed c = fz_compress_chunked(data, dims, fused);
+  const ContainerInfo info = fz_container_info(c.bytes);
+  ASSERT_EQ(info.chunks.size(), c.num_chunks);
+  ASSERT_GT(c.num_chunks, 1u);
+  FzParams unfused;
+  unfused.eb = ErrorBound::absolute(c.stats.abs_eb);
+  for (const ChunkEntry& e : info.chunks) {
+    const FloatSpan slab =
+        FloatSpan{data}.subspan(e.elem_offset, e.dims.count());
+    const std::vector<u8> want = ref::compress(slab, e.dims, unfused).bytes;
+    ASSERT_EQ(want.size(), e.bytes) << "chunk at " << e.elem_offset;
+    EXPECT_TRUE(std::equal(want.begin(), want.end(),
+                           c.bytes.begin() + static_cast<std::ptrdiff_t>(
+                                                 e.offset)))
+        << "chunk at " << e.elem_offset;
+  }
 }
 
 TEST(FusedParallel, CodecStreamsIdenticalAcrossWorkerSettings) {
   const Dims dims{64, 256};
   const auto data = field<f32>(dims, 91);
 
-  auto compress_with = [&](size_t workers, bool serial_tiles) {
-    FzParams params;
-    params.eb = ErrorBound::absolute(1e-3);
-    params.fused_workers = workers;
-    params.fused_serial_tiles = serial_tiles;
-    Codec codec(params);
+  FzParams params;
+  params.eb = ErrorBound::absolute(1e-3);
+  auto compress_with = [&](size_t workers) {
+    FzParams p = params;
+    p.fused_workers = workers;
+    Codec codec(p);
     return codec.compress(data, dims).bytes;
   };
 
-  const std::vector<u8> want = compress_with(1, /*serial_tiles=*/true);
+  const std::vector<u8> want = ref::compress(data, dims, params).bytes;
   for (const size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
                                size_t{8}})
-    EXPECT_EQ(want, compress_with(workers, false)) << "workers " << workers;
+    EXPECT_EQ(want, compress_with(workers)) << "workers " << workers;
 
   // Decompression's chunked scans must also be schedule-independent: the
   // same stream reconstructs to identical bytes for every worker count.
@@ -455,18 +472,19 @@ TEST(FusedParallel, F64CodecStreamsIdenticalAcrossWorkerSettings) {
   const Dims dims{24, 20, 20};
   const auto data = field<f64>(dims, 13);
 
-  auto compress_with = [&](size_t workers, bool serial_tiles) {
-    FzParams params;
-    params.eb = ErrorBound::absolute(1e-4);
-    params.fused_workers = workers;
-    params.fused_serial_tiles = serial_tiles;
-    Codec codec(params);
-    return codec.compress(data, dims).bytes;
+  FzParams params;
+  params.eb = ErrorBound::absolute(1e-4);
+  auto compress_with = [&](size_t workers) {
+    FzParams p = params;
+    p.fused_workers = workers;
+    Codec codec(p);
+    return codec.compress(std::span<const f64>{data}, dims).bytes;
   };
 
-  const std::vector<u8> want = compress_with(1, /*serial_tiles=*/true);
+  const std::vector<u8> want =
+      ref::compress(std::span<const f64>{data}, dims, params).bytes;
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}})
-    EXPECT_EQ(want, compress_with(workers, false)) << "workers " << workers;
+    EXPECT_EQ(want, compress_with(workers)) << "workers " << workers;
 }
 
 }  // namespace

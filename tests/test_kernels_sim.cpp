@@ -18,6 +18,7 @@
 #include "substrate/huffman.hpp"
 #include "datasets/field.hpp"
 #include "metrics/metrics.hpp"
+#include "reference_graph.hpp"
 
 namespace fz {
 namespace {
@@ -199,22 +200,18 @@ TEST(SimFusedQuant, MatchesHostFusedStageExactly) {
 
     const size_t words = round_up(f.count(), kCodesPerTile) / 2;
     const size_t blocks = words / kBlockWords;
-    std::vector<u32> host_shuffled(words), sim_shuffled(words);
-    std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-    std::vector<i64> row_scratch(fused_row_scratch_elems(dims));
-    std::vector<i64> plane_scratch(fused_plane_scratch_elems(dims));
-    const FusedTileResult host = fused_quant_shuffle_mark(
-        f.values(), dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-        host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+    std::vector<u32> sim_shuffled(words);
+    const ref::FusedTiles host = ref::one_strip_tiles(
+        f.values(), dims, abs_eb, SimdLevel::Scalar);
 
     std::vector<u8> sim_byte, sim_bit;
     std::vector<i64> anchor(1, -1);
     const auto cost = sim_fused_quant_shuffle_mark(
         f.values(), dims, abs_eb, sim_shuffled, sim_byte, sim_bit, anchor);
-    EXPECT_EQ(sim_shuffled, host_shuffled) << dims.to_string();
-    EXPECT_EQ(sim_byte, host_byte) << dims.to_string();
-    EXPECT_EQ(sim_bit, host_bit) << dims.to_string();
-    EXPECT_EQ(anchor[0], host.anchor) << dims.to_string();
+    EXPECT_EQ(sim_shuffled, host.shuffled) << dims.to_string();
+    EXPECT_EQ(sim_byte, host.byte_flags) << dims.to_string();
+    EXPECT_EQ(sim_bit, host.bit_flags) << dims.to_string();
+    EXPECT_EQ(anchor[0], host.res.anchor) << dims.to_string();
 
     // One launch; the u16 code array never touches global memory, so the
     // only writes are the shuffled words, the flags, and the anchor.
@@ -236,21 +233,17 @@ TEST(SimFusedQuant, ClipsSaturatedResidualsLikeTheHost) {
   const double abs_eb = 1e-3;
 
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
-  std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(words / kBlockWords), host_bit(host_byte.size() / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-      host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
-  ASSERT_GT(host.saturated, 0u);  // the test is vacuous otherwise
+  std::vector<u32> sim_shuffled(words);
+  const ref::FusedTiles host = ref::one_strip_tiles(
+      f.values(), f.dims, abs_eb, SimdLevel::Scalar);
+  ASSERT_GT(host.res.saturated, 0u);  // the test is vacuous otherwise
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1);
   sim_fused_quant_shuffle_mark(f.values(), f.dims, abs_eb, sim_shuffled,
                                sim_byte, sim_bit, anchor);
-  EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(anchor[0], host.anchor);
+  EXPECT_EQ(sim_shuffled, host.shuffled);
+  EXPECT_EQ(anchor[0], host.res.anchor);
 }
 
 TEST(SimFusedQuant, StripsKernelMatchesHostAndSinglePassExactly) {
@@ -269,23 +262,18 @@ TEST(SimFusedQuant, StripsKernelMatchesHostAndSinglePassExactly) {
     const double abs_eb = 0.01;
 
     const size_t words = round_up(f.count(), kCodesPerTile) / 2;
-    const size_t blocks = words / kBlockWords;
-    std::vector<u32> host_shuffled(words), sim_shuffled(words);
-    std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-    std::vector<i64> row_scratch(fused_row_scratch_elems(dims));
-    std::vector<i64> plane_scratch(fused_plane_scratch_elems(dims));
-    const FusedTileResult host = fused_quant_shuffle_mark(
-        f.values(), dims, abs_eb, /*f32_fast=*/false, host_shuffled,
-        host_byte, host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+    std::vector<u32> sim_shuffled(words);
+    const ref::FusedTiles host = ref::one_strip_tiles(
+        f.values(), dims, abs_eb, SimdLevel::Scalar);
 
     std::vector<u8> sim_byte, sim_bit;
     std::vector<i64> anchor(1, -1);
     const auto cost = sim_fused_quant_shuffle_mark_strips(
         f.values(), dims, abs_eb, sim_shuffled, sim_byte, sim_bit, anchor);
-    EXPECT_EQ(sim_shuffled, host_shuffled) << dims.to_string();
-    EXPECT_EQ(sim_byte, host_byte) << dims.to_string();
-    EXPECT_EQ(sim_bit, host_bit) << dims.to_string();
-    EXPECT_EQ(anchor[0], host.anchor) << dims.to_string();
+    EXPECT_EQ(sim_shuffled, host.shuffled) << dims.to_string();
+    EXPECT_EQ(sim_byte, host.byte_flags) << dims.to_string();
+    EXPECT_EQ(sim_bit, host.bit_flags) << dims.to_string();
+    EXPECT_EQ(anchor[0], host.res.anchor) << dims.to_string();
     EXPECT_EQ(cost.kernel_launches, 1u);
   }
 }
@@ -326,22 +314,17 @@ TEST(SimFusedQuant, StripsKernelSplitsPlaneHaloWhenItExceedsBudget) {
   for (auto& v : f.data) v = static_cast<f32>(rng.uniform(-50.0, 50.0));
 
   const size_t words = round_up(f.count(), kCodesPerTile) / 2;
-  const size_t blocks = words / kBlockWords;
-  std::vector<u32> host_shuffled(words), sim_shuffled(words);
-  std::vector<u8> host_byte(blocks), host_bit(blocks / 8);
-  std::vector<i64> row_scratch(fused_row_scratch_elems(f.dims));
-  std::vector<i64> plane_scratch(fused_plane_scratch_elems(f.dims));
-  const FusedTileResult host = fused_quant_shuffle_mark(
-      f.values(), f.dims, 0.01, /*f32_fast=*/false, host_shuffled, host_byte,
-      host_bit, row_scratch, plane_scratch, SimdLevel::Scalar);
+  std::vector<u32> sim_shuffled(words);
+  const ref::FusedTiles host = ref::one_strip_tiles(
+      f.values(), f.dims, 0.01, SimdLevel::Scalar);
 
   std::vector<u8> sim_byte, sim_bit;
   std::vector<i64> anchor(1, -1);
   sim_fused_quant_shuffle_mark_strips(f.values(), f.dims, 0.01, sim_shuffled,
                                       sim_byte, sim_bit, anchor);
-  EXPECT_EQ(sim_shuffled, host_shuffled);
-  EXPECT_EQ(sim_byte, host_byte);
-  EXPECT_EQ(anchor[0], host.anchor);
+  EXPECT_EQ(sim_shuffled, host.shuffled);
+  EXPECT_EQ(sim_byte, host.byte_flags);
+  EXPECT_EQ(anchor[0], host.res.anchor);
 }
 
 TEST(SimHuffman, CoarseGrainedEncodeMatchesNativeByteForByte) {

@@ -63,7 +63,6 @@ TEST_P(PipelineProperty, V1QuantAlsoRoundTrips) {
   FzParams params;
   params.eb = ErrorBound::relative(rel_eb);
   params.quant = QuantVersion::V1Original;
-  params.fused_host_graph = false;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzDecompressed d = fz_decompress(c.bytes);
   EXPECT_TRUE(error_bounded(f.values(), d.data, c.stats.abs_eb));
@@ -189,7 +188,6 @@ TEST(Pipeline, CompressionIsDeterministic) {
   const FzCompressed b = fz_compress(f.values(), f.dims, params);
   EXPECT_EQ(a.bytes, b.bytes);
   params.quant = QuantVersion::V1Original;
-  params.fused_host_graph = false;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzCompressed d = fz_compress(f.values(), f.dims, params);
   EXPECT_EQ(c.bytes, d.bytes);
@@ -212,7 +210,6 @@ TEST_P(PipelineSweep, EveryConfigurationRoundTripsWithinBound) {
   FzParams params;
   params.eb = ErrorBound::relative(rel_eb);
   params.quant = quant;
-  params.fused_host_graph = quant != QuantVersion::V1Original;
   params.fused_bitshuffle_mark = fused;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzDecompressed d = fz_decompress(c.bytes);
@@ -493,7 +490,6 @@ TEST(PipelineFormat, StructuredInspectCoversV1AndLogTransform) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.eb = ErrorBound::absolute(1e-2);
   const FzCompressed c1 = fz_compress(f.values(), f.dims, v1);
   const StreamInfo i1 = inspect(c1.bytes);
@@ -534,24 +530,11 @@ TEST(PipelineParams, ValidateReturnsOneIssuePerProblem) {
 
   FzParams v1;
   v1.quant = QuantVersion::V1Original;
-  v1.fused_host_graph = false;
   v1.radius = 40000;
   ASSERT_EQ(v1.validate().size(), 1u);
   EXPECT_STREQ(v1.validate()[0].field, "radius");
   v1.radius = 512;
   EXPECT_TRUE(v1.validate().empty());
-
-  // The fused host graph has no V1 tile body: requesting both must fail at
-  // validate() time (not deep inside the stage) with an actionable message.
-  FzParams fused_v1;
-  fused_v1.quant = QuantVersion::V1Original;
-  ASSERT_EQ(fused_v1.validate().size(), 1u);
-  EXPECT_STREQ(fused_v1.validate()[0].field, "fused_host_graph");
-  EXPECT_NE(fused_v1.validate()[0].message.find("V2 quantization only"),
-            std::string::npos);
-  EXPECT_NE(fused_v1.validate()[0].message.find("fused_host_graph = false"),
-            std::string::npos);
-  EXPECT_THROW(Codec{fused_v1}, ParamError);
 
   EXPECT_STREQ(good.validate(Dims{0, 4}).at(0).field, "dims");
   EXPECT_STREQ(good.validate(Dims{SIZE_MAX / 2, 3}).at(0).field, "dims");

@@ -20,6 +20,7 @@
 #include "core/kernels_simd.hpp"
 #include "core/lorenzo.hpp"
 #include "core/quantizer.hpp"
+#include "reference_graph.hpp"
 
 namespace fz {
 namespace {
@@ -159,66 +160,6 @@ TEST(SimdPrequant, F32FastPathMatchesExactPathEverywhere) {
                              << " eb=" << eb;
       }
     }
-  }
-}
-
-TEST(SimdPrequant, F64FastPathMatchesExactPathEverywhere) {
-  // The f64 sibling: narrowing to f32 adds a third rounding, so the margin
-  // slope is wider (2^-21), and values whose f32 image is subnormal (but
-  // not zero) must fall back to the exact kernel.  Same contract: equal to
-  // the exact double path on every input, every level.
-  for (const double eb : {0.5, 1e-3, 0.37, 1e-7, 1e45, 1e-45}) {
-    for (const size_t n : kSizes) {
-      Rng rng(67 * n + 11);
-      std::vector<f64> data(n);
-      for (size_t i = 0; i < n; ++i) {
-        switch (rng.below(4)) {
-          case 0: {
-            // Land near a half-integer boundary after scaling — inside the
-            // narrowing-rounding radius, where the margin must reject.
-            const double k = static_cast<double>(rng.below(100000));
-            data[i] = (k + 0.5) * 2.0 * eb * (1.0 + rng.uniform(-1e-8, 1e-8));
-            break;
-          }
-          case 1:
-            // Magnitudes whose f32 image is subnormal or flushes to zero:
-            // the subnormal guard and the narrows-to-zero proof.
-            data[i] = rng.uniform(-1.0, 1.0) * 1e-40;
-            break;
-          default:
-            data[i] = rng.uniform(-3e6, 3e6) * 2.0 * eb;
-            break;
-        }
-      }
-      std::vector<i64> want(n);
-      prequantize(std::span<const f64>{data}, eb, want);
-      for (const SimdLevel level : levels_under_test()) {
-        std::vector<i64> got(n, -999);
-        prequantize_f64fast(std::span<const f64>{data}, eb, got, level);
-        ASSERT_EQ(want, got) << simd_level_name(level) << " n=" << n
-                             << " eb=" << eb;
-      }
-    }
-  }
-}
-
-TEST(SimdPrequant, F64FastPathHandlesNonFiniteAndExtremes) {
-  // NaN/inf lanes must route through the exact kernel (unordered compares),
-  // and huge magnitudes must fail the range test rather than overflow the
-  // f32 convert.
-  const std::vector<f64> data = {
-      std::numeric_limits<f64>::quiet_NaN(),
-      std::numeric_limits<f64>::infinity(),
-      -std::numeric_limits<f64>::infinity(),
-      1e300,  -1e300, 1e38,   -1e38,  4.2,   -4.2,
-      0.0,    -0.0,   5e-324, -5e-324, 1e-45, 2097151.4, -2097152.6};
-  const double eb = 0.5;
-  std::vector<i64> want(data.size());
-  prequantize(std::span<const f64>{data}, eb, want);
-  for (const SimdLevel level : levels_under_test()) {
-    std::vector<i64> got(data.size(), -999);
-    prequantize_f64fast(std::span<const f64>{data}, eb, got, level);
-    ASSERT_EQ(want, got) << simd_level_name(level);
   }
 }
 
@@ -407,23 +348,16 @@ void check_fused(Dims dims, double eb, u64 seed, SimdLevel level,
     data[i] = static_cast<T>(100.0 + 40.0 * std::sin(0.013 * double(i)) +
                              rng.uniform(-noise, noise));
   const RefOut want = reference_pipeline(std::span<const T>{data}, dims, eb);
+  const ref::FusedTiles got =
+      ref::one_strip_tiles(std::span<const T>{data}, dims, eb, level);
 
-  std::vector<u32> shuffled(want.shuffled.size(), 0xdeadbeefu);
-  std::vector<u8> byte_flags(want.byte_flags.size(), 0xee);
-  std::vector<u8> bit_flags(want.bit_flags.size(), 0xee);
-  std::vector<i64> row(fused_row_scratch_elems(dims), -1);
-  std::vector<i64> plane(fused_plane_scratch_elems(dims), -1);
-  const FusedTileResult got = fused_quant_shuffle_mark(
-      std::span<const T>{data}, dims, eb, false, shuffled, byte_flags,
-      bit_flags, row, plane, level);
-
-  ASSERT_EQ(want.shuffled, shuffled)
+  ASSERT_EQ(want.shuffled, got.shuffled)
       << simd_level_name(level) << " dims " << dims.x << "x" << dims.y << "x"
       << dims.z;
-  ASSERT_EQ(want.byte_flags, byte_flags) << simd_level_name(level);
-  ASSERT_EQ(want.bit_flags, bit_flags) << simd_level_name(level);
-  EXPECT_EQ(want.anchor, got.anchor) << simd_level_name(level);
-  EXPECT_EQ(want.saturated, got.saturated) << simd_level_name(level);
+  ASSERT_EQ(want.byte_flags, got.byte_flags) << simd_level_name(level);
+  ASSERT_EQ(want.bit_flags, got.bit_flags) << simd_level_name(level);
+  EXPECT_EQ(want.anchor, got.res.anchor) << simd_level_name(level);
+  EXPECT_EQ(want.saturated, got.res.saturated) << simd_level_name(level);
 }
 
 TEST(SimdFused, MatchesUnfusedStagesAllRanksAndLevels) {

@@ -49,11 +49,12 @@ double find_arg(const TraceEvent& ev, const char* key) {
 }
 
 TEST(Telemetry, UnfusedCompressEmitsOneSpanPerStage) {
+  // V1 is the way into the classic graph.
   const std::vector<f32> data = wave(4096, 3);
   Sink sink;
   FzParams params;
   params.eb = ErrorBound::absolute(1e-2);
-  params.fused_host_graph = false;
+  params.quant = QuantVersion::V1Original;
   params.telemetry = &sink;
   Codec codec(params);
   codec.compress(data, Dims{data.size()});
@@ -70,7 +71,6 @@ TEST(Telemetry, FusedCompressEmitsOneSpanPerStage) {
   Sink sink;
   FzParams params;
   params.eb = ErrorBound::absolute(1e-2);
-  params.fused_host_graph = true;
   params.telemetry = &sink;
   Codec codec(params);
   codec.compress(data, Dims{data.size()});
@@ -105,13 +105,17 @@ TEST(Telemetry, DecompressAndF64EmitOneSpanPerStage) {
   // The fused decode writes the output itself: no separate reconstruct.
   EXPECT_EQ(counts.count("reconstruct"), 0u);
 
-  // The unfused graph (fused_decompress off) still emits its classic
-  // stage spans.
+  // The classic graph, which V1 streams take, still emits its stage
+  // spans.
+  FzParams v1 = params;
+  v1.quant = QuantVersion::V1Original;
+  v1.telemetry = nullptr;
+  const FzCompressed c1 =
+      Codec(v1).compress(std::span<const f64>{data}, Dims{data.size()});
   Sink unfused_sink;
   params.telemetry = &unfused_sink;
-  params.fused_decompress = false;
   Codec unfused(params);
-  unfused.decompress_into(c.bytes, out);
+  unfused.decompress_into(c1.bytes, out);
   const auto unfused_counts = span_counts(unfused_sink);
   for (const char* stage : {"decompress", "parse-header", "scatter-unshuffle",
                             "inverse-quant", "reconstruct"})
