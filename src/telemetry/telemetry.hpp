@@ -73,7 +73,13 @@ struct TraceEvent {
   u64 start_ns = 0;  ///< steady-clock ns since the sink's epoch
   u64 dur_ns = 0;
   u32 tid = 0;       ///< recorder (thread) index within the sink
-  u16 depth = 0;     ///< span nesting depth on that thread at start
+  /// Span nesting depth on that thread at start.  Depth is per thread and
+  /// restarts at 0 on every worker thread: a `fused-strip`,
+  /// `fused-decode-strip` or `fused-decode-write` span, a `chunk-compress` /
+  /// `chunk-decompress` span on a pool worker, or a prefetch `chunk-fetch`
+  /// is not deeper than the span that forked it.  It relates to that span
+  /// only by time; spans carry no cross-thread parent link.
+  u16 depth = 0;
   u16 n_args = 0;
   std::array<Arg, kMaxArgs> args{};
 };
