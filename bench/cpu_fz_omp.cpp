@@ -1,5 +1,5 @@
 // §4.4 "Comparison with the CPU implementation" reproduction: wall-clock
-// throughput of FZ-OMP (this library's native OpenMP pipeline) versus
+// throughput of FZ-OMP (this library's native multi-threaded pipeline) versus
 // SZ-OMP (Lorenzo + quantization + Huffman) on this machine, plus the
 // modeled FZ-GPU(A100)/FZ-OMP speedup the paper reports (37x average).
 #include <iostream>

@@ -1,8 +1,8 @@
 // CPU thread scaling (paper §4.4 footnote 5: "the performance of both
 // FZ-OMP and SZ-OMP increases as the number of threads increases to 32
 // (with up to 21.2x speedup), but it does not increase much with more than
-// 32 threads").  Measures FZ-OMP compression wall clock at 1..N threads on
-// this machine.
+// 32 threads").  Measures FZ-OMP compression wall clock at 1..N codec
+// workers (FzParams::fused_workers) on this machine.
 //
 // A second table measures the chunked container's parallel chunk execution
 // (core/chunked.hpp): chunk count fixed, worker count swept, each worker
@@ -10,10 +10,6 @@
 // first iteration no worker touches the heap for scratch.
 #include <cstdio>
 #include <vector>
-
-#if defined(FZ_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 #include "baselines/szomp.hpp"
 #include "common/parallel.hpp"
@@ -39,10 +35,8 @@ int main() {
 
   double base = 0;
   for (int threads = 1; threads <= hw_threads; threads *= 2) {
-#if defined(FZ_HAVE_OPENMP)
-    omp_set_num_threads(threads);
-#endif
-    const RunResult r = run_fz_omp(f, 1e-3, 2);
+    const RunResult r =
+        run_fz_omp(f, 1e-3, 2, static_cast<size_t>(threads));
     const double comp =
         static_cast<double>(f.bytes()) / 1e9 / r.native_compress_seconds;
     const double decomp =
@@ -51,9 +45,6 @@ int main() {
     std::printf("%8d %14.3f %14.3f %8.2fx\n", threads, comp, decomp,
                 comp / base);
   }
-#if defined(FZ_HAVE_OPENMP)
-  omp_set_num_threads(hw_threads);  // restore
-#endif
   std::printf(
       "\nExpected shape (paper, 32-core Xeon): near-linear scaling up to\n"
       "the physical core count, then flat (\"does not increase much with\n"
@@ -61,21 +52,20 @@ int main() {
       "On a single-core machine this prints one row.\n");
 
   // ---- chunked container: parallel chunk workers ---------------------------
-  // Inner loops single-threaded (1 OpenMP thread) so the sweep isolates the
-  // chunk-level parallelism of parallel_tasks + per-worker codecs.
-#if defined(FZ_HAVE_OPENMP)
-  omp_set_num_threads(1);
-#endif
   // Sweep to at least 4 workers even on small machines: extra rows there
   // just show oversubscription staying flat, which still exercises the
   // multi-worker path.
   const int max_workers = hw_threads > 4 ? hw_threads : 4;
   ChunkedParams cparams;
   cparams.base.eb = ErrorBound::relative(1e-3);
+  // Inner codecs on one worker each, so the sweep isolates the chunk-level
+  // parallelism of parallel_tasks + per-worker codecs.
+  cparams.base.fused_workers = 1;
   cparams.num_chunks = static_cast<size_t>(max_workers) * 2;  // load balance
   std::printf(
       "\nChunked-container scaling: %zu chunks, worker count swept\n"
-      "(per-worker codecs; inner kernels pinned to 1 thread)\n\n",
+      "(per-worker codecs; compress pins each to one worker, decompress\n"
+      "codecs borrow any helper the chunk workers leave idle)\n\n",
       cparams.num_chunks);
   std::printf("%8s %14s %14s %9s\n", "workers", "compress GB/s",
               "decompress GB/s", "scaling");
@@ -83,22 +73,19 @@ int main() {
   for (int workers = 1; workers <= max_workers; workers *= 2) {
     cparams.max_parallelism = static_cast<size_t>(workers);
     ChunkedCompressed c;
-    const double comp_s = time_best_of(
+    const double compress_s = time_best_of(
         2, [&] { c = fz_compress_chunked(f.values(), f.dims, cparams); });
-    const double decomp_s = time_best_of(2, [&] {
+    const double decompress_s = time_best_of(2, [&] {
       const FzDecompressed d =
           fz_decompress_chunked(c.bytes, cparams.max_parallelism);
       (void)d;
     });
-    const double comp = throughput_gbps(f.bytes(), comp_s);
-    const double decomp = throughput_gbps(f.bytes(), decomp_s);
+    const double comp = throughput_gbps(f.bytes(), compress_s);
+    const double decomp = throughput_gbps(f.bytes(), decompress_s);
     if (workers == 1) chunk_base = comp;
     std::printf("%8d %14.3f %14.3f %8.2fx\n", workers, comp, decomp,
                 comp / chunk_base);
   }
-#if defined(FZ_HAVE_OPENMP)
-  omp_set_num_threads(hw_threads);  // restore
-#endif
   std::printf(
       "\nExpected shape: scaling tracks the worker count until it reaches\n"
       "the physical cores; the container bytes are identical at every\n"

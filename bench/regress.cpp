@@ -208,7 +208,7 @@ int main(int argc, char** argv) {
   };
   std::vector<ScalingRow> scaling_rows;
 
-  bench::Table comp_table(
+  bench::Table compress_table(
       {"dataset", "fused-parallel-scalar", "fused-parallel-simd"});
   bool identical = true;
   for (const Field& f : benchmark_suite(scale, 42)) {
@@ -227,7 +227,7 @@ int main(int argc, char** argv) {
       results.push_back(gbps(f.bytes(), t));
       compress_rows.push_back({f.dataset, c.name, results.back()});
     }
-    comp_table.add_row({f.dataset, JsonWriter::num(results[0]),
+    compress_table.add_row({f.dataset, JsonWriter::num(results[0]),
                         JsonWriter::num(results[1])});
 
     // Thread-scaling sweep (compress + decompress) at 1/2/4/max workers.
@@ -253,7 +253,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\nCompression throughput (GB/s), rel eb 1e-3:\n";
-  comp_table.print(std::cout);
+  compress_table.print(std::cout);
   std::cout << "\nstreams byte-identical across configs: "
             << (identical ? "yes" : "NO — BUG") << "\n";
 
@@ -336,17 +336,17 @@ int main(int argc, char** argv) {
     std::string dataset;
     double fused_gbps;
   };
-  std::vector<FusedDecompRow> fused_decomp_rows;
+  std::vector<FusedDecompRow> fused_decode_rows;
 
   bench::Table fd_table({"dataset", "fused GB/s"});
   // Plus one thin slab at full size whatever the scale: a Reader chunk of
   // the 512×256×256 Hurricane field cut in 64 (fewer planes than 4 per
   // strip, so the decode splits it into row strips).
-  std::vector<Field> decomp_fields = benchmark_suite(scale, 42);
-  decomp_fields.push_back(
+  std::vector<Field> decode_fields = benchmark_suite(scale, 42);
+  decode_fields.push_back(
       generate_field(Dataset::Hurricane, Dims{512, 256, 4}, 42));
-  decomp_fields.back().dataset += "-slab";
-  for (const Field& f : decomp_fields) {
+  decode_fields.back().dataset += "-slab";
+  for (const Field& f : decode_fields) {
     FzParams cp;
     cp.eb = ErrorBound::relative(1e-3);
     cp.fused_workers = 0;
@@ -355,9 +355,9 @@ int main(int argc, char** argv) {
     std::vector<f32> a(f.count());
     const double t =
         min_seconds(iters, [&] { codec.decompress_into(comp.bytes, a); });
-    fused_decomp_rows.push_back({f.dataset, gbps(f.bytes(), t)});
+    fused_decode_rows.push_back({f.dataset, gbps(f.bytes(), t)});
     fd_table.add_row(
-        {f.dataset, JsonWriter::num(fused_decomp_rows.back().fused_gbps)});
+        {f.dataset, JsonWriter::num(fused_decode_rows.back().fused_gbps)});
   }
   std::cout << "\nFused decompression (GB/s of restored f32):\n";
   fd_table.print(std::cout);
@@ -521,11 +521,11 @@ int main(int argc, char** argv) {
   pw.buf += zscan_identical ? "true" : "false";
   pw.section("fused_decode");
   pw.buf += "[\n";
-  for (size_t i = 0; i < fused_decomp_rows.size(); ++i) {
-    pw.buf += "    {\"dataset\": \"" + fused_decomp_rows[i].dataset +
+  for (size_t i = 0; i < fused_decode_rows.size(); ++i) {
+    pw.buf += "    {\"dataset\": \"" + fused_decode_rows[i].dataset +
               "\", \"fused_gbps\": " +
-              JsonWriter::num(fused_decomp_rows[i].fused_gbps) + "}" +
-              (i + 1 < fused_decomp_rows.size() ? "," : "") + "\n";
+              JsonWriter::num(fused_decode_rows[i].fused_gbps) + "}" +
+              (i + 1 < fused_decode_rows.size() ? "," : "") + "\n";
   }
   pw.buf += "  ]";
   pw.section("zscan_scaling");

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.hpp"
 #include "common/thread_pool.hpp"
 #include "datasets/generators.hpp"
 #include "service/service.hpp"
@@ -41,6 +40,14 @@ double min_seconds(int iters, const std::function<void()>& fn) {
 
 double gbps(size_t bytes, double secs) {
   return static_cast<double>(bytes) / secs / 1e9;
+}
+
+/// Run fn(c) for clients c in [0, n), each on its own thread of `crew`
+/// (sized to at least n), and wait for all of them.
+template <typename Fn>
+void run_clients(ThreadPool& crew, size_t n, const Fn& fn) {
+  for (size_t c = 0; c < n; ++c) crew.submit([&fn, c](size_t) { fn(c); });
+  crew.wait_idle();
 }
 
 Request make_request(const Field& f) {
@@ -127,15 +134,16 @@ int main(int argc, char** argv) {
     const size_t clients = std::max<size_t>(hw, 2);
     const size_t per_client = 8;
     std::atomic<int> mismatches{0};
+    ThreadPool crew(clients);
     // Warm every worker codec before timing.
-    run_task_crew(clients, clients, [&](size_t, size_t) {
+    run_clients(crew, clients, [&](size_t) {
       Response resp;
       (void)svc.submit(req, resp);
     });
     std::vector<std::vector<double>> lat(clients);
     const double secs = min_seconds(iters, [&] {
       for (auto& v : lat) v.clear();
-      run_task_crew(clients, clients, [&](size_t c, size_t) {
+      run_clients(crew, clients, [&](size_t c) {
         Response resp;
         for (size_t i = 0; i < per_client; ++i) {
           const auto t0 = std::chrono::steady_clock::now();
@@ -152,7 +160,7 @@ int main(int argc, char** argv) {
     for (const auto& v : lat)
       latencies_us.insert(latencies_us.end(), v.begin(), v.end());
     const Service::Counters c = svc.counters();
-    dropped = c.dropped_exceptions;
+    dropped = c.dropped_exceptions + crew.dropped_exceptions();
     failed = c.failed;
   }
   std::printf("%-30s %8.3f GB/s\n", "service (all workers)", svcN_gbps);
@@ -176,11 +184,13 @@ int main(int argc, char** argv) {
     opt.batch_max = 1;
     Service svc(opt);
     const size_t floods = 4 * std::max<size_t>(hw, 2);
-    run_task_crew(floods, floods, [&](size_t, size_t) {
+    ThreadPool crew(floods);
+    run_clients(crew, floods, [&](size_t) {
       Response resp;
       for (int i = 0; i < 8; ++i) (void)svc.submit(req, resp);
     });
     queue_full = svc.counters().rejected_queue_full;
+    dropped += crew.dropped_exceptions();
   }
   std::printf("%-30s %8llu rejects\n", "saturation backpressure",
               static_cast<unsigned long long>(queue_full));

@@ -48,18 +48,19 @@
 # Any sanitizer finding fails the suite (-fno-sanitize-recover=all aborts
 # the offending test; TSan exits nonzero on a report; clang-tidy exits
 # nonzero on any warning-as-error; fzlint exits nonzero on any finding).
+# Every stage runs even when an earlier one fails; the script then lists
+# the failed stages and exits nonzero.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   default configuration + lint-static only (skip sanitizer
 #            builds and clang-tidy)
-set -euo pipefail
+set -uo pipefail
 cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
 run_preset() {
   local preset="$1"
-  echo "==== configure/build/test: ${preset} ===="
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "${jobs}"
   ctest --preset "${preset}" -j "${jobs}"
@@ -82,7 +83,7 @@ trace_smoke() {
     reader-read chunk-fetch \
     --min-count reader-read=2 chunk-fetch=4
   grep -q "spans by name" "${tmp}/summary.txt" ||
-    { echo "trace smoke: --trace printed no summary" >&2; exit 1; }
+    { echo "trace smoke: --trace printed no summary" >&2; return 1; }
   rm -rf "${tmp}"
 }
 
@@ -98,41 +99,41 @@ service_smoke() {
   "${fzd}" soak --requests 600 --clients 6 --queue 16 > /dev/null
 }
 
-run_preset default
+failed=()
 
-echo "==== service smoke: fzd selftest + concurrent soak ===="
-service_smoke build/src/fzd
+# Run one stage: "$@" in a subshell under `set -e`, recording a failure
+# instead of stopping the script.
+stage() {
+  local name="$1"
+  shift
+  echo "==== ${name} ===="
+  ( set -e; "$@" )
+  local rc=$?
+  if (( rc != 0 )); then
+    echo "==== ${name}: FAILED (exit ${rc}) ====" >&2
+    failed+=("${name}")
+  fi
+}
 
-echo "==== bench smoke: SIMD + fused-pipeline + random-access guards ===="
-scripts/bench_smoke.sh build/bench/regress build/bench/random_access
+traced_regress() {
+  # A traced bench run: every env-sink codec in regress records into one
+  # trace, covering the fused compress and decompress graphs (the only
+  # graphs a V2 run takes) — including the per-strip spans of both
+  # tile-parallel passes.  All three reports go to the scratch directory
+  # so the checked-in BENCH_*.json baselines stay untouched.
+  local tmp
+  tmp=$(mktemp -d)
+  FZ_TRACE="${tmp}/regress.json" build/bench/regress \
+    --scale 0.05 --iters 1 --out "${tmp}/bench.json" \
+    --huff-out "${tmp}/huff.json" --pr10-out "${tmp}/pr10.json" \
+    > /dev/null
+  python3 scripts/validate_trace.py "${tmp}/regress.json" \
+    --expect compress fused-quant-shuffle-mark fused-strip decompress \
+    fused-decode fused-decode-strip
+  rm -rf "${tmp}"
+}
 
-echo "==== trace smoke: telemetry export validates ===="
-trace_smoke build/examples/fz_cli
-# A traced bench run: every env-sink codec in regress records into one
-# trace, covering the fused compress and decompress graphs (the only
-# graphs a V2 run takes) — including the per-strip spans of both
-# tile-parallel passes.  All three reports go to the scratch directory so
-# the checked-in BENCH_*.json baselines stay untouched.
-trace_tmp=$(mktemp -d)
-FZ_TRACE="${trace_tmp}/regress.json" build/bench/regress \
-  --scale 0.05 --iters 1 --out "${trace_tmp}/bench.json" \
-  --huff-out "${trace_tmp}/huff.json" --pr10-out "${trace_tmp}/pr10.json" \
-  > /dev/null
-python3 scripts/validate_trace.py "${trace_tmp}/regress.json" \
-  --expect compress fused-quant-shuffle-mark fused-strip decompress \
-  fused-decode fused-decode-strip
-rm -rf "${trace_tmp}"
-
-echo "==== lint-static: fzlint (layering / lock discipline / layout / hygiene) ===="
-scripts/lint_gate.sh build
-
-if [[ "${1:-}" != "--fast" ]]; then
-  run_preset asan-ubsan
-
-  echo "==== trace smoke (asan-ubsan) ===="
-  trace_smoke build-asan/examples/fz_cli
-
-  echo "==== fused-parallel schedule independence (asan-ubsan) ===="
+schedule_independence_asan() {
   # The thread-scaling byte-identity suite again, explicitly, under the
   # sanitizers: worker counts {1,2,3,8} x dtypes x SIMD tiers must stay
   # byte-identical and fault-free.
@@ -145,22 +146,45 @@ if [[ "${1:-}" != "--fast" ]]; then
   build-asan/tests/test_reader
   build-asan/tests/test_threading \
     --gtest_filter='Threading.SharedSinkAcrossFusedStripWorkers'
+}
 
-  run_preset tsan
-
-  echo "==== service smoke (tsan): fzd selftest + concurrent soak ===="
-  service_smoke build-tsan/src/fzd
-
-  echo "==== lint: clang-tidy over src/ ===="
+clang_tidy() {
   if command -v clang-tidy > /dev/null 2>&1; then
     cmake --build build --target lint
   elif [[ "${FZ_REQUIRE_LINT:-0}" == "1" ]]; then
     echo "lint: clang-tidy not found on PATH and FZ_REQUIRE_LINT=1 —" \
       "failing (docs/SANITIZER.md has the install note)" >&2
-    exit 1
+    return 1
   else
     echo "lint: clang-tidy not found on PATH; skipping (install clang-tidy to enable, or set FZ_REQUIRE_LINT=1 to make this fatal)"
   fi
+}
+
+stage "configure/build/test: default" run_preset default
+stage "service smoke: fzd selftest + concurrent soak" \
+  service_smoke build/src/fzd
+stage "bench smoke: SIMD + fused-pipeline + random-access guards" \
+  scripts/bench_smoke.sh build/bench/regress build/bench/random_access
+stage "trace smoke: telemetry export validates" \
+  trace_smoke build/examples/fz_cli
+stage "trace smoke: traced bench/regress" traced_regress
+stage "lint-static: fzlint (layering / lock discipline / layout / hygiene)" \
+  scripts/lint_gate.sh build
+
+if [[ "${1:-}" != "--fast" ]]; then
+  stage "configure/build/test: asan-ubsan" run_preset asan-ubsan
+  stage "trace smoke (asan-ubsan)" trace_smoke build-asan/examples/fz_cli
+  stage "fused-parallel schedule independence (asan-ubsan)" \
+    schedule_independence_asan
+  stage "configure/build/test: tsan" run_preset tsan
+  stage "service smoke (tsan): fzd selftest + concurrent soak" \
+    service_smoke build-tsan/src/fzd
+  stage "lint: clang-tidy over src/" clang_tidy
 fi
 
+if (( ${#failed[@]} != 0 )); then
+  echo "check.sh: ${#failed[@]} stage(s) failed:" >&2
+  printf '  - %s\n' "${failed[@]}" >&2
+  exit 1
+fi
 echo "check.sh: all configurations green"

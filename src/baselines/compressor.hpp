@@ -35,9 +35,6 @@ struct RunResult {
                : static_cast<double>(input_bytes) / compressed_bytes;
   }
   double bitrate() const { return ratio() == 0 ? 0 : 32.0 / ratio(); }
-  cudasim::CostSheet total_compression_cost() const {
-    return cudasim::sum(compression_costs, compressor);
-  }
 };
 
 class GpuCompressor {

@@ -1,6 +1,7 @@
 #include "baselines/szomp.hpp"
 
 #include "common/timer.hpp"
+#include "core/codec.hpp"
 #include "core/lorenzo.hpp"
 #include "core/pipeline.hpp"
 #include "core/quantizer.hpp"
@@ -8,20 +9,22 @@
 
 namespace fz::bench {
 
-RunResult run_fz_omp(const Field& field, double rel_eb, int iters) {
+RunResult run_fz_omp(const Field& field, double rel_eb, int iters,
+                     size_t workers) {
   RunResult r;
   r.compressor = "FZ-OMP";
   r.input_bytes = field.bytes();
 
   FzParams params;
   params.eb = ErrorBound::relative(rel_eb);
+  params.fused_workers = workers;
   FzCompressed c;
   r.native_compress_seconds = time_best_of(
       iters, [&] { c = fz_compress(field.values(), field.dims, params); });
   r.compressed_bytes = c.bytes.size();
   FzDecompressed d;
   r.native_decompress_seconds =
-      time_best_of(iters, [&] { d = fz_decompress(c.bytes); });
+      time_best_of(iters, [&] { d = Codec(params).decompress(c.bytes); });
   r.reconstructed = std::move(d.data);
   return r;
 }

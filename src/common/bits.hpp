@@ -10,10 +10,8 @@ namespace fz {
 
 /// Number of bits needed to represent v (0 -> 0).
 constexpr int bit_width_u32(u32 v) { return std::bit_width(v); }
-constexpr int bit_width_u64(u64 v) { return std::bit_width(v); }
 
 constexpr int popcount_u32(u32 v) { return std::popcount(v); }
-constexpr int popcount_u64(u64 v) { return std::popcount(v); }
 
 /// Round `v` up to the next multiple of `m` (m > 0).
 constexpr size_t round_up(size_t v, size_t m) { return (v + m - 1) / m * m; }
@@ -23,16 +21,12 @@ constexpr size_t div_ceil(size_t v, size_t m) { return (v + m - 1) / m; }
 inline u32 float_bits(f32 v) { return std::bit_cast<u32>(v); }
 inline f32 bits_float(u32 v) { return std::bit_cast<f32>(v); }
 
-/// Load/store little-endian scalars from byte streams.
+/// Load a little-endian scalar from a byte stream.
 template <typename T>
 inline T load_le(const u8* p) {
   T v;
   std::memcpy(&v, p, sizeof(T));
   return v;
-}
-template <typename T>
-inline void store_le(u8* p, T v) {
-  std::memcpy(p, &v, sizeof(T));
 }
 
 /// Sign-magnitude encoding used by the optimized dual-quantization (§3.2 of

@@ -1,28 +1,16 @@
-// Parallel-loop helpers.  All parallel loops in the native backends go
-// through these wrappers.  With OpenMP they compile to omp regions; without
-// it (FZ_ENABLE_OPENMP=OFF) parallel_for/parallel_tasks fall back to a
-// std::thread task crew with the same contract.  The `tsan` preset builds
-// without OpenMP deliberately: libgomp is not TSan-instrumented, so its
-// fork/join happens-before edges are invisible and ThreadSanitizer flags
-// correct code; raw std::threads keep the concurrency both real and
-// visible to the tool.
+// Parallel-loop helpers: every parallel loop in the native backends forks
+// through these on the executor in common/thread_pool.hpp, with at most
+// worker_budget() workers (FzParams::fused_workers inside a codec run).
+// The first exception is rethrown on the caller after the join — decoders
+// rely on that to reject corrupt streams from parallel loops.
 #pragma once
 
-#include <atomic>
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <exception>
 #include <mutex>
 #include <span>
-#include <thread>
 #include <type_traits>
-#include <utility>
-#include <vector>
-
-#if defined(FZ_HAVE_OPENMP)
-#include <omp.h>
-#endif
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
@@ -30,74 +18,33 @@
 
 namespace fz {
 
-inline int max_threads() {
-#if defined(FZ_HAVE_OPENMP)
-  return omp_get_max_threads();
-#else
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : static_cast<int>(n);
-#endif
-}
-
-/// Index of the calling thread within the innermost parallel region
-/// (0 outside any region or without OpenMP).
-inline int thread_index() {
-#if defined(FZ_HAVE_OPENMP)
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
-namespace detail {
-
-/// std::thread task crew backing parallel_for/parallel_tasks when OpenMP is
-/// unavailable.  Same contract as parallel_tasks: fn(task, worker), tasks
-/// claimed dynamically, worker indices unique, first exception captured and
-/// rethrown on the calling thread (which doubles as worker 0).  The
-/// implementation lives in common/thread_pool.hpp (run_task_crew) so the
-/// fork/join loops and the persistent fz::ThreadPool share one engine.
+/// Run fn(task, worker) for every task in [0, count) using at most `workers`
+/// concurrent threads (0 = worker_budget()).  Each worker index in
+/// [0, workers) is used by exactly one thread at a time, so fn may use it to
+/// address per-worker state (e.g. one fz::Codec per worker).  Tasks are
+/// claimed dynamically: uneven task costs still balance.
 template <typename Fn>
-void thread_crew(size_t count, size_t workers, Fn& fn) {
-  run_task_crew(count, workers, fn);
+void parallel_tasks(size_t count, size_t workers, Fn&& fn) {
+  using F = std::remove_reference_t<Fn>;
+  detail::fork_join(
+      count, workers != 0 ? workers : worker_budget(),
+      [](void* f, size_t task, size_t worker) {
+        (*static_cast<F*>(f))(task, worker);
+      },
+      const_cast<void*>(static_cast<const void*>(&fn)));
 }
 
-}  // namespace detail
-
-/// Parallel for over [begin, end) with a static schedule.
-/// `fn(i)` must be independent across iterations.
-///
-/// Exceptions must not unwind out of an OpenMP region (that calls
-/// std::terminate), so the first exception thrown by any iteration is
-/// captured and rethrown on the calling thread after the region ends —
-/// decoders rely on this to reject corrupt streams from parallel loops.
+/// Parallel for over [begin, end): one contiguous block per worker of the
+/// budget.  `fn(i)` must be independent across iterations.
 template <typename Fn>
 void parallel_for(size_t begin, size_t end, Fn&& fn) {
-#if defined(FZ_HAVE_OPENMP)
-  std::exception_ptr error;
-#pragma omp parallel for schedule(static) shared(error)
-  for (i64 i = static_cast<i64>(begin); i < static_cast<i64>(end); ++i) {
-    try {
-      fn(static_cast<size_t>(i));
-    } catch (...) {
-#pragma omp critical(fz_parallel_for_error)
-      if (!error) error = std::current_exception();
-    }
-  }
-  if (error) std::rethrow_exception(error);
-#else
   if (end <= begin) return;
-  const size_t count = end - begin;
-  const size_t workers =
-      count < static_cast<size_t>(max_threads()) ? count
-                                                 : static_cast<size_t>(max_threads());
-  if (workers > 1) {
-    auto task = [&](size_t i, size_t) { fn(begin + i); };
-    detail::thread_crew(count, workers, task);
-  } else {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  }
-#endif
+  const size_t n = end - begin;
+  const size_t parts = std::min(worker_budget(), n);
+  parallel_tasks(parts, parts, [&](size_t t, size_t) {
+    const size_t e = begin + n * (t + 1) / parts;
+    for (size_t i = begin + n * t / parts; i < e; ++i) fn(i);
+  });
 }
 
 /// Parallel for over chunks: fn(chunk_begin, chunk_end).  Used when per-
@@ -114,76 +61,6 @@ void parallel_chunks(size_t count, size_t chunk, Fn&& fn) {
   });
 }
 
-/// Run fn(task, worker) for every task in [0, count) using at most `workers`
-/// concurrent threads (0 = max_threads()).  Each worker index in
-/// [0, workers) is used by exactly one thread at a time, so fn may use it to
-/// address per-worker state (e.g. one fz::Codec per worker).  Tasks are
-/// claimed dynamically: uneven task costs still balance.  Exceptions
-/// propagate like parallel_for.
-template <typename Fn>
-void parallel_tasks(size_t count, size_t workers, Fn&& fn) {
-  if (workers == 0) workers = static_cast<size_t>(max_threads());
-  if (workers > count) workers = count;
-#if defined(FZ_HAVE_OPENMP)
-  if (workers > 1) {
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-#pragma omp parallel num_threads(static_cast<int>(workers)) \
-    shared(next, failed, error)
-    {
-      const size_t w = static_cast<size_t>(omp_get_thread_num());
-      for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        if (failed.load(std::memory_order_relaxed)) break;
-        try {
-          fn(i, w);
-        } catch (...) {
-#pragma omp critical(fz_parallel_tasks_error)
-          if (!error) error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-#else
-  if (workers > 1) {
-    detail::thread_crew(count, workers, fn);
-    return;
-  }
-#endif
-  for (size_t i = 0; i < count; ++i) fn(i, 0);
-}
-
-/// Exponent-bit mask of T: a value is non-finite (NaN/Inf) exactly when all
-/// of these bits are set, so finiteness is a pure integer compare.
-template <typename T>
-using FloatBits = std::conditional_t<sizeof(T) == sizeof(u32), u32, u64>;
-template <typename T>
-inline constexpr FloatBits<T> kExponentMask =
-    sizeof(T) == sizeof(u32) ? static_cast<FloatBits<T>>(0x7f800000u)
-                             : static_cast<FloatBits<T>>(0x7ff0000000000000ull);
-
-/// True iff every element is finite (no NaN/Inf).  OpenMP parallel+simd
-/// reduced; no scratch allocation, no libm isfinite call, and the loop
-/// vectorizes.
-template <typename T>
-bool parallel_all_finite(std::span<const T> v) {
-  using U = FloatBits<T>;
-  static_assert(sizeof(T) == sizeof(U));
-  const T* p = v.data();
-  U ok = 1;
-#if defined(FZ_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static) reduction(& : ok)
-#endif
-  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i)
-    ok &= static_cast<U>((std::bit_cast<U>(p[i]) & kExponentMask<T>) !=
-                         kExponentMask<T>);
-  return ok != 0;
-}
-
 template <typename T>
 struct FiniteMinmax {
   bool finite = true;  ///< no element is NaN/Inf
@@ -191,33 +68,46 @@ struct FiniteMinmax {
   T hi{};
 };
 
-/// Finiteness test and min/max in one read of the span: one OpenMP
-/// parallel+simd region with an `&` reduction over the exponent test and
-/// min/max reductions over the values.  The branchless select form
-/// vectorizes, and min/max are order-independent on NaN-free data, so
-/// lo/hi equal the serial scan's whenever `finite` is true.  Requires a
-/// non-empty span.
+/// Finiteness test and min/max in one parallel read of a non-empty span.
+/// Each worker reduces one block in 16 bytes of independent lanes (one
+/// vector register).  x - x is NaN exactly when x is not finite, so a lane
+/// sum of them stays 0 iff all are finite.  The selects are order-
+/// independent on NaN-free data: lo/hi equal a serial scan's when finite.
 template <typename T>
 FiniteMinmax<T> parallel_finite_minmax(std::span<const T> v) {
-  using U = FloatBits<T>;
-  static_assert(sizeof(T) == sizeof(U));
   FZ_REQUIRE(!v.empty(), "parallel_finite_minmax: empty span");
-  const T* p = v.data();
-  U ok = 1;
-  T lo = p[0];
-  T hi = p[0];
-#if defined(FZ_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static) reduction(& : ok) \
-    reduction(min : lo) reduction(max : hi)
-#endif
-  for (i64 i = 0; i < static_cast<i64>(v.size()); ++i) {
-    const T x = p[i];
-    ok &= static_cast<U>((std::bit_cast<U>(x) & kExponentMask<T>) !=
-                         kExponentMask<T>);
-    lo = x < lo ? x : lo;
-    hi = x > hi ? x : hi;
-  }
-  return {ok != 0, lo, hi};
+  constexpr size_t kLanes = 16 / sizeof(T);
+  const size_t block = (v.size() + worker_budget() - 1) / worker_budget();
+  FiniteMinmax<T> r{true, v[0], v[0]};
+  std::mutex mu;
+  parallel_chunks(v.size(), block, [&](size_t b, size_t e) {
+    const T* p = v.data() + b;
+    const size_t m = e - b;
+    T nan[kLanes] = {}, lo[kLanes], hi[kLanes];
+    for (size_t j = 0; j < kLanes; ++j) lo[j] = hi[j] = p[0];
+    const auto step = [&](size_t j, T x) {
+      nan[j] += x - x;
+      lo[j] = x < lo[j] ? x : lo[j];
+      hi[j] = x > hi[j] ? x : hi[j];
+    };
+    size_t i = 0;
+    for (; i + kLanes <= m; i += kLanes)
+      for (size_t j = 0; j < kLanes; ++j) step(j, p[i + j]);
+    for (; i < m; ++i) step(0, p[i]);
+    const std::lock_guard<std::mutex> lock(mu);
+    for (size_t j = 0; j < kLanes; ++j) {
+      r.finite &= nan[j] == T(0);
+      r.lo = lo[j] < r.lo ? lo[j] : r.lo;
+      r.hi = hi[j] > r.hi ? hi[j] : r.hi;
+    }
+  });
+  return r;
+}
+
+/// True iff every element is finite (no NaN/Inf); an empty span is.
+template <typename T>
+bool parallel_all_finite(std::span<const T> v) {
+  return v.empty() || parallel_finite_minmax(v).finite;
 }
 
 }  // namespace fz

@@ -1,20 +1,12 @@
-// fz::ThreadPool — a persistent worker crew with stable worker indices.
-//
-// parallel.hpp's task crew spins threads up per call, which is the right
-// shape for one-shot fork/join loops but wrong for a long-lived service:
-// fz::Reader answers a stream of small random-access requests, and paying
-// thread creation per request would dwarf the decode itself.  This pool
-// keeps its workers alive for the owner's lifetime and hands every task the
-// index of the worker running it, so callers can keep per-worker state
-// (one fz::Codec per worker — the Codec threading contract) with no
-// locking.
-//
-// The one-shot crew behaviour survives as run_task_crew() below;
-// parallel.hpp's non-OpenMP fallback delegates to it, so both the fork/join
-// loops and the pool share one tested implementation of dynamic task
-// claiming.
-//
-// Contract:
+// The only code that creates threads (fzlint enforces it):
+// * the fork/join executor behind common/parallel.hpp (docs/ARCHITECTURE.md,
+//   "Host parallelism"): lazily started helpers, the caller as worker 0,
+//   idle helpers only — a fork runs the rest of its tasks inline, so nested
+//   and concurrent forks never deadlock or add threads — and at most the
+//   calling thread's worker budget per fork;
+// * fz::ThreadPool, a persistent FIFO job queue with stable worker
+//   indices, so owners (fz::Reader, fz::Service) keep one fz::Codec per
+//   worker — the Codec threading contract — with no locking.  Contract:
 //   * submit() enqueues task(worker_index); tasks run in FIFO order but
 //     complete in any order.  Tasks must not throw — error delivery is the
 //     caller's job (fz::Reader routes errors through its cache entries);
@@ -31,7 +23,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -41,16 +32,48 @@
 
 namespace fz {
 
-/// Number of NUMA memory nodes on this machine (>= 1).  Probed once from
-/// /sys/devices/system/node and cached; returns 1 wherever the sysfs tree
-/// is absent (non-Linux, containers without sysfs).  The NUMA first-touch
-/// placement pass (core/kernels_simd.hpp fused_first_touch_strips) gates on
-/// this so single-node boxes pay nothing.
+/// Number of CPUs in the process affinity mask (>= 1), read once.
+int max_threads();
+
+/// Most workers one fork can use, caller included: max(16, 2 ×
+/// max_threads()); wider requests are clamped.
+size_t max_fork_workers();
+
+/// The calling thread's worker budget (>= 1): max_threads() unless a
+/// WorkerBudget scope or the fork that runs this task narrowed it.
+size_t worker_budget();
+
+/// Sets the calling thread's worker budget for the scope (0 =
+/// max_threads()); fz::Codec sets FzParams::fused_workers for each run.
+class WorkerBudget {
+ public:
+  explicit WorkerBudget(size_t workers);
+  ~WorkerBudget();
+  WorkerBudget(const WorkerBudget&) = delete;
+  WorkerBudget& operator=(const WorkerBudget&) = delete;
+
+ private:
+  size_t prev_;
+};
+
+/// Tasks of the calling thread's forks that it did not run itself (they ran
+/// on helpers, or were skipped after an exception), since it started.
+size_t offloaded_tasks();
+
+namespace detail {
+using ForkTask = void (*)(void* ctx, size_t task, size_t worker);
+/// Run task(ctx, i, worker) for i < count on up to `workers` threads.
+void fork_join(size_t count, size_t workers, ForkTask task, void* ctx);
+}  // namespace detail
+
+/// Number of NUMA memory nodes (>= 1), probed once from
+/// /sys/devices/system/node (1 where it is absent).  The first-touch pass
+/// (core/kernels_simd.hpp fused_first_touch_strips) gates on it.
 size_t numa_node_count();
 
 class ThreadPool {
  public:
-  /// Spin up `workers` persistent threads (0 = one per hardware thread).
+  /// Spin up `workers` persistent threads (0 = max_threads()).
   explicit ThreadPool(size_t workers = 0);
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
@@ -82,41 +105,5 @@ class ThreadPool {
   std::atomic<size_t> dropped_{0};
   std::vector<std::thread> threads_;
 };
-
-/// One-shot dynamic task crew: run fn(task, worker) for every task in
-/// [0, count) on `workers` threads (the calling thread doubles as worker 0).
-/// Tasks are claimed dynamically so uneven costs balance; worker indices are
-/// unique per concurrent thread; the first exception is captured and
-/// rethrown on the calling thread after the join.  This is the engine
-/// behind parallel_for/parallel_tasks when OpenMP is unavailable.
-/// Requires workers >= 1.
-template <typename Fn>
-void run_task_crew(size_t count, size_t workers, Fn&& fn) {
-  std::atomic<size_t> next{0};
-  std::atomic<bool> failed{false};
-  std::exception_ptr error;
-  std::mutex error_mutex;
-  auto body = [&](size_t w) {
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      if (failed.load(std::memory_order_relaxed)) break;
-      try {
-        fn(i, w);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!error) error = std::current_exception();
-        }
-        failed.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::vector<std::thread> crew;
-  crew.reserve(workers - 1);
-  for (size_t w = 1; w < workers; ++w) crew.emplace_back(body, w);
-  body(0);
-  for (auto& t : crew) t.join();
-  if (error) std::rethrow_exception(error);
-}
 
 }  // namespace fz

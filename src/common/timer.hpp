@@ -1,4 +1,4 @@
-// Wall-clock timing for the native (OpenMP) measurements.
+// Wall-clock timing for the native host measurements.
 #pragma once
 
 #include <chrono>

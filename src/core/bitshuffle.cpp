@@ -37,8 +37,8 @@ void check_tile_args(std::span<const u32> in, std::span<u32> out) {
 
 }  // namespace
 
-// A 4 KiB tile is already a meaningful unit of work, but claim a few per
-// atomic in the task-crew fallback anyway.
+// A 4 KiB tile is already a meaningful unit of work; 16 per chunk keep
+// small inputs from forking.
 constexpr size_t kTileGrain = 16;
 
 void bitshuffle_tiles(std::span<const u32> in, std::span<u32> out) {

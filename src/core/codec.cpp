@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "common/error.hpp"
+#include "common/thread_pool.hpp"
 #include "core/costs.hpp"
 #include "core/format.hpp"
 
@@ -58,6 +59,20 @@ Codec::Codec(FzParams params)
   pool_.set_telemetry(sink_);
 }
 
+void Codec::run_graph(const StageGraph& graph, const char* name) {
+  const WorkerBudget budget(params_.fused_workers);  // bounds every fork
+  ctx_.sink = sink_;
+  const PoolDelta before = pool_delta(pool_, sink_ != nullptr);
+  telemetry::Span run(sink_, name);
+  ScratchGuard guard{ctx_};
+  for (const auto& stage : graph) {
+    telemetry::Span span(sink_, stage->name());
+    stage->run(ctx_);
+    span.arg("bytes_in", static_cast<double>(ctx_.stats.input_bytes));
+  }
+  finish_run_span(run, ctx_, pool_, before);
+}
+
 template <typename T>
 void Codec::compress_impl(std::span<const T> data, Dims dims,
                           FzCompressed& out, bool with_costs) {
@@ -81,18 +96,7 @@ void Codec::compress_impl(std::span<const T> data, Dims dims,
 
   ctx_.begin_compress(&pool_, params_, dims, data.size(), sizeof(T),
                       data.data(), &out.bytes);
-  ctx_.sink = sink_;
-  {
-    const PoolDelta before = pool_delta(pool_, sink_ != nullptr);
-    telemetry::Span run(sink_, "compress");
-    ScratchGuard guard{ctx_};
-    for (const auto& stage : graph) {
-      telemetry::Span span(sink_, stage->name());
-      stage->run(ctx_);
-      span.arg("bytes_in", static_cast<double>(ctx_.stats.input_bytes));
-    }
-    finish_run_span(run, ctx_, pool_, before);
-  }
+  run_graph(graph, "compress");
   out.stats = ctx_.stats;
   if (with_costs) out.stage_costs = fz_compression_costs(out.stats, params_);
 }
@@ -149,18 +153,7 @@ Dims Codec::decompress_into_impl(ByteSpan stream, std::span<T> out,
 
   ctx_.begin_decompress(&pool_, params_, stream, out.size(), sizeof(T),
                         out.data());
-  ctx_.sink = sink_;
-  {
-    const PoolDelta before = pool_delta(pool_, sink_ != nullptr);
-    telemetry::Span run(sink_, "decompress");
-    ScratchGuard guard{ctx_};
-    for (const auto& stage : graph) {
-      telemetry::Span span(sink_, stage->name());
-      stage->run(ctx_);
-      span.arg("bytes_in", static_cast<double>(ctx_.stats.input_bytes));
-    }
-    finish_run_span(run, ctx_, pool_, before);
-  }
+  run_graph(graph, "decompress");
   if (stage_costs != nullptr) {
     FzParams params;
     params.quant = ctx_.params.quant;

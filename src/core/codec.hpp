@@ -102,6 +102,8 @@ class Codec {
   telemetry::Sink* telemetry_sink() const { return sink_; }
 
  private:
+  /// Run the prepared context through `graph` under a `name` run span.
+  void run_graph(const StageGraph& graph, const char* name);
   /// Compress into `out` (bytes/stats overwritten, capacities reused).
   /// Fills out.stage_costs only when `with_costs`.
   template <typename T>

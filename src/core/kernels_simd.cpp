@@ -1292,9 +1292,9 @@ void fused_first_touch_strips(MutByteSpan bytes, size_t strips) {
   if (strips <= 1 || bytes.empty() || numa_node_count() <= 1) return;
   // One touch per page, strips aligned to page boundaries so two workers
   // never claim the same page.  The strip split mirrors the even tile
-  // split of the fused passes; a static-schedule parallel_for pins strip s
-  // to the same worker slot the strip loop will claim in the common
-  // (uncontended) case.
+  // split of the fused passes.  Helper w starts with task w - 1 in both
+  // forks and idle helpers are claimed in the same order, so in the common
+  // (uncontended) case strip s is touched by the worker that fills it.
   constexpr size_t kPage = 4096;
   const size_t per = round_up(div_ceil(bytes.size(), strips), kPage);
   parallel_for(0, strips, [&](size_t s) {

@@ -117,8 +117,8 @@ struct FusedParallelPlan {
 FusedParallelPlan fused_parallel_plan(Dims dims, size_t workers);
 
 /// NUMA-aware strip placement: first-touch one byte per page of each
-/// strip's slice of `bytes` from a parallel worker crew shaped like the
-/// strip loop, so Linux's first-touch policy places each slice on (or near)
+/// strip's slice of `bytes` from a fork shaped like the strip loop, so
+/// Linux's first-touch policy places each slice on (or near)
 /// the node that will stream through it.  Only meaningful for a freshly
 /// allocated buffer (PooledBuffer::fresh()) — recycled pages already
 /// belong to a node — and a no-op on single-node machines, when there is

@@ -58,8 +58,8 @@ void forward_3d(std::span<const i64> p, size_t nx, size_t ny, size_t nz,
   }
 }
 
-/// Chunk grain for line-parallel scans: enough lines per claim that the
-/// task-crew fallback pays one atomic per ~16Ki elements, not per line.
+/// Chunk grain for line-parallel scans: about 16Ki elements per chunk, so
+/// a small field runs without a fork.
 size_t line_grain(size_t line_len) {
   return std::max<size_t>(1, (size_t{1} << 14) / std::max<size_t>(1, line_len));
 }
@@ -204,7 +204,7 @@ void scan_z_chunked(std::span<i64> a, size_t nx, size_t ny, size_t nz,
 void scan_z(std::span<i64> a, Dims dims, size_t workers) {
   const size_t w = workers != 0 ? workers : static_cast<size_t>(max_threads());
   if (dims.y < w) {
-    // Too few y-rows to occupy the crew (flat or thin-slab volumes): chunk
+    // Too few y-rows to occupy the workers (flat or thin-slab volumes): chunk
     // the z-chain itself and propagate plane-granular boundary offsets.
     const size_t nchunks = scan_chunk_split(dims.z, workers, 4);
     if (nchunks > 1) {

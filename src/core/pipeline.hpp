@@ -73,9 +73,9 @@ struct FzParams {
   bool fused_bitshuffle_mark = true;
   /// V1-only: quantization radius.
   u32 radius = 512;
-  /// Host execution: strip count for the tile-parallel fused passes
-  /// (compress and decompress) and the chunk-parallel inverse-Lorenzo
-  /// scans of the V1 graph.  0 = one strip per hardware thread.  Every
+  /// Host execution: the worker budget of a run — the strip count of the
+  /// fused passes and V1 inverse-Lorenzo scans, and the bound on every
+  /// other fork (1 = calling thread only; 0 = max_threads()).  Every
   /// worker count emits byte-identical streams and values — pinned by
   /// tests/test_fused_parallel.cpp and tests/test_golden.cpp.  A fresh
   /// output lease is first-touched in strip shape, so on a multi-node box

@@ -11,8 +11,8 @@ namespace fz {
 
 namespace {
 
-// Chunked grain for the trivial per-element loops: one atomic claim per
-// 32Ki elements instead of one per element in the task-crew fallback.
+// Chunk grain for the trivial per-element loops: under 32Ki elements a
+// loop runs without a fork, and larger ones split on 32Ki boundaries.
 constexpr size_t kQuantGrain = size_t{1} << 15;
 
 template <typename T>

@@ -117,7 +117,8 @@ namespace {
 /// Validate the input (NaN/Inf-free), resolve the error bound, and apply
 /// the optional log transform.  The input is read once for validation
 /// (plus the value range, in relative mode) and once more only for the log
-/// transform; both walks are OpenMP reductions (common/parallel.hpp).
+/// transform; both walks fork on the run's worker budget
+/// (common/parallel.hpp).
 class ResolveTransformStage final : public Stage {
  public:
   const char* name() const override { return "resolve-transform"; }

@@ -190,8 +190,6 @@ class Sanitizer {
   /// `degree` shared transactions.
   void on_bank_slot(u32 warp, u32 degree, SrcLoc loc);
 
-  u32 bank_limit() const { return options_.bank_conflict_limit; }
-
  private:
   struct ByteShadow {
     u32 w_tid = kNoThread;

@@ -17,12 +17,6 @@ namespace {
 /// fetch()'s worker index for a demand decode on the calling thread.
 constexpr size_t kCaller = SIZE_MAX;
 
-size_t resolve_workers(size_t workers) {
-  if (workers != 0) return workers;
-  const unsigned n = std::thread::hardware_concurrency();
-  return n == 0 ? 1 : n;
-}
-
 /// The container identity, or a single-field f32 stream wrapped as a
 /// one-chunk container (version 0) so slicing works on any stream.
 ContainerInfo make_info(ByteSpan stream) {
@@ -56,7 +50,7 @@ Reader::Reader(ByteSpan stream, ReaderOptions options)
                                          : telemetry::active_sink()),
       cache_(options.cache_bytes, sink_),
       prefetcher_(options.max_prefetch),
-      pool_(resolve_workers(options.workers)) {
+      pool_(options.workers) {
   buffers_.set_telemetry(sink_);
   params_.telemetry = sink_;
   // Prefetches run one chunk per pool worker, so each keeps its decode

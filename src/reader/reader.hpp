@@ -57,7 +57,7 @@ struct Slice {
 };
 
 struct ReaderOptions {
-  /// Decode pool size (0 = one worker per hardware thread).
+  /// Decode pool size (0 = max_threads(), one per CPU).
   size_t workers = 0;
   /// Byte budget for decoded chunks retained in the cache.
   size_t cache_bytes = size_t{256} << 20;

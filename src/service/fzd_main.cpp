@@ -262,7 +262,7 @@ int cmd_soak(const Args& args) {
   std::atomic<size_t> retries{0};
   std::atomic<size_t> completed{0};
 
-  fz::run_task_crew(clients, clients, [&](size_t task, size_t) {
+  const auto client_loop = [&](size_t task) {
     std::unique_ptr<fz::Client> client;
     if (over_wire) client = std::make_unique<fz::Client>(args.socket_path);
     fz::Request req;
@@ -294,7 +294,11 @@ int cmd_soak(const Args& args) {
         break;
       }
     }
-  });
+  };
+  fz::ThreadPool crew(clients);
+  for (size_t task = 0; task < clients; ++task)
+    crew.submit([&, task](size_t) { client_loop(task); });
+  crew.wait_idle();
 
   const fz::Service::Counters c = service.counters();
   std::cout << "fzd soak: " << completed.load() << " responses ("
@@ -303,10 +307,10 @@ int cmd_soak(const Args& args) {
             << c.batches << " batched wakeups, peak queue "
             << c.peak_queue_depth << "\n";
   if (server) server->stop();
-  if (mismatches.load() != 0 || failures.load() != 0 ||
-      c.dropped_exceptions != 0) {
+  const size_t dropped = c.dropped_exceptions + crew.dropped_exceptions();
+  if (mismatches.load() != 0 || failures.load() != 0 || dropped != 0) {
     std::cerr << "fzd soak FAILED: " << mismatches.load() << " mismatches, "
-              << failures.load() << " failures, " << c.dropped_exceptions
+              << failures.load() << " failures, " << dropped
               << " dropped exceptions\n";
     return 1;
   }

@@ -32,9 +32,6 @@ enum class JobKind : u8 {
   Stats = 5,       ///< response payload = scrapeable stats text (fzd only)
 };
 
-/// Stable kebab-case name ("compress", "inspect", ...), never nullptr.
-const char* job_kind_name(JobKind kind);
-
 struct Request {
   JobKind kind = JobKind::Ping;
   /// Tenant the job is accounted/policed under (0 = default tenant).

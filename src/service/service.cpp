@@ -29,18 +29,6 @@ u32 percentile_us(std::vector<u32>& window, double q) {
 
 }  // namespace
 
-const char* job_kind_name(JobKind kind) {
-  switch (kind) {
-    case JobKind::Ping:        return "ping";
-    case JobKind::Compress:    return "compress";
-    case JobKind::CompressF64: return "compress-f64";
-    case JobKind::Decompress:  return "decompress";
-    case JobKind::Inspect:     return "inspect";
-    case JobKind::Stats:       return "stats";
-  }
-  return "unknown";
-}
-
 Service::Service(Options options) : opts_(options), pool_(options.workers) {
   opts_.queue_depth = std::max<size_t>(opts_.queue_depth, 1);
   opts_.batch_max = std::clamp<size_t>(opts_.batch_max, 1, kMaxBatch);

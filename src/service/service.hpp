@@ -60,7 +60,7 @@ class Service {
   static constexpr size_t kMaxBatch = 32;
 
   struct Options {
-    /// Worker threads, one Codec each (0 = one per hardware thread).
+    /// Worker threads, one Codec each (0 = max_threads(), one per CPU).
     size_t workers = 0;
     /// Admission-queue slots; a submit against a full queue returns
     /// StatusCode::QueueFull instead of blocking or growing the queue.
@@ -141,7 +141,6 @@ class Service {
   Status admission_check(const Request& req) const;
   void worker_loop(size_t worker);
   void run_job(Worker& w, const Request& req, Response& resp);
-  bool queue_empty() const { return queued_ == 0; }
 
   Options opts_;
   telemetry::Sink* sink_;

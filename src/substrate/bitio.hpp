@@ -114,7 +114,6 @@ class BitReaderMsb {
     return v;
   }
   size_t bit_pos() const { return pos_; }
-  size_t bits_remaining() const { return data_.size() * 8 - pos_; }
 
  private:
   void refill() {

@@ -2,7 +2,7 @@
 //
 // Three implementations with identical results:
 //  * scan_sequential    — reference,
-//  * scan_parallel      — two-pass blocked OpenMP scan,
+//  * scan_parallel      — two-pass blocked scan on the fork/join executor,
 //  * scan_device_model  — the CUB-style ExclusiveSum used by the fz encoder's
 //    phase 2 (§3.4): a reduce-then-scan over fixed-size tiles whose device
 //    cost (tile reduction kernel + serial tile-prefix + downsweep kernel) is

@@ -48,7 +48,7 @@ thread_local bool t_registry_dead = false;
 /// this sink before": thread ids are reused after a join, so an id match
 /// could hand a dead worker's recorder to an unrelated fresh thread with no
 /// happens-before edge between the two owners (a data race on the
-/// owner-only fields; short-lived task-crew threads hit this in practice).
+/// owner-only fields; short-lived threads hit this in practice).
 struct RecorderRegistry {
   std::vector<RecorderCache> entries;
   ~RecorderRegistry() { t_registry_dead = true; }

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chunked.hpp"
 #include "core/codec.hpp"
 #include "datasets/generators.hpp"
@@ -147,18 +148,13 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   // The pool-stats check above only proves scratch buffers recycle; the
   // global counter proves the whole decompress path (header parse, stage
   // graph, disabled telemetry hooks) performs literally zero heap
-  // allocations once warm.  The OpenMP runtime reuses its worker pool; the
-  // no-OpenMP thread_crew fallback spawns std::threads per parallel region,
-  // so the strict assertion is OpenMP-only.
+  // allocations once warm; the fork/join executor reuses its helper threads
+  // and keeps each fork on the caller's stack.
   EXPECT_GT(g_alloc_count.load(), 0u);  // the counter is actually wired in
   const size_t before = g_alloc_count.load();
   for (int round = 0; round < 3; ++round) codec.decompress_into(c.bytes, out);
-#if defined(FZ_HAVE_OPENMP)
   EXPECT_EQ(g_alloc_count.load(), before)
       << "steady-state decompress_into allocated";
-#else
-  EXPECT_GE(g_alloc_count.load(), before);
-#endif
 
   // The loop above rides the fused decompress graph (V2 streams); the
   // classic staged graph, which V1 streams take, must stay allocation-free
@@ -176,12 +172,8 @@ TEST(Codec, SteadyStateDoesNotAllocate) {
   const auto classic_steady = classic.pool().stats();
   EXPECT_EQ(classic_steady.misses, classic_warm.misses)
       << "classic decompress steady state hit the heap";
-#if defined(FZ_HAVE_OPENMP)
   EXPECT_EQ(g_alloc_count.load(), classic_before)
       << "steady-state classic decompress_into allocated";
-#else
-  EXPECT_GE(g_alloc_count.load(), classic_before);
-#endif
   EXPECT_TRUE(error_bounded(f.values(), out, c.stats.abs_eb));
 }
 
@@ -210,6 +202,44 @@ TEST(Codec, SteadyStateHoldsForV1AndPointwiseAndF64) {
   EXPECT_EQ(codec_v1.pool().stats().misses, m1);
   EXPECT_EQ(codec_pw.pool().stats().misses, m2);
   EXPECT_EQ(codec_f64.pool().stats().misses, m3);
+}
+
+TEST(Codec, OneWorkerRunsEveryTaskOnTheCaller) {
+  // fused_workers bounds every fork of a run, the stage helpers included:
+  // at one worker a round trip hands no task to a helper thread, whatever
+  // the quant version, bound mode or dtype.  At four workers the same
+  // round trip does, so the check cannot pass vacuously.
+  const Field f = noisy_field(Dims{64, 48, 8}, 37);
+  const std::vector<f64> wide(f.data.begin(), f.data.end());
+  for (const QuantVersion quant :
+       {QuantVersion::V1Original, QuantVersion::V2Optimized}) {
+    for (const ErrorBound eb : {ErrorBound::relative(1e-3),
+                                ErrorBound::absolute(1e-2),
+                                ErrorBound::pointwise_relative(1e-3)}) {
+      for (const size_t workers : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE("quant " + std::to_string(static_cast<int>(quant)) +
+                     " mode " + std::to_string(static_cast<int>(eb.mode)) +
+                     " workers " + std::to_string(workers));
+        FzParams params;
+        params.quant = quant;
+        params.eb = eb;
+        params.fused_workers = workers;
+        Codec codec(params);
+        const size_t before = offloaded_tasks();
+        const FzCompressed c32 = codec.compress(f.values(), f.dims);
+        EXPECT_EQ(codec.decompress(c32.bytes).data.size(), f.data.size());
+        const FzCompressed c64 =
+            codec.compress(std::span<const f64>{wide}, f.dims);
+        EXPECT_EQ(codec.decompress_f64(c64.bytes).data.size(), wide.size());
+        const size_t offloaded = offloaded_tasks() - before;
+        if (workers == 1) {
+          EXPECT_EQ(offloaded, 0u);
+        } else {
+          EXPECT_GT(offloaded, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(Codec, DecompressIntoValidatesOutputSize) {

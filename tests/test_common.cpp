@@ -2,7 +2,9 @@
 
 #include <atomic>
 #include <limits>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -155,8 +157,8 @@ TEST(Parallel, ForCoversRangeOnce) {
 }
 
 TEST(Parallel, ExceptionsPropagateToCaller) {
-  // Exceptions thrown inside OpenMP regions would call std::terminate
-  // without the capture-and-rethrow in parallel_for; decoders depend on it.
+  // An exception thrown on a helper thread must reach the caller after the
+  // join (an escaping one would call std::terminate); decoders depend on it.
   EXPECT_THROW(parallel_for(0, 1000,
                             [&](size_t i) {
                               if (i == 517) throw Error("boom");
@@ -214,6 +216,114 @@ TEST(Parallel, TasksPropagateExceptions) {
                Error);
 }
 
+TEST(Parallel, NestedForksCompleteWhenHelpersAreBusy) {
+  // Every outer task forks again and asks for more workers than there are
+  // free helpers: each inner fork must finish (running its remaining tasks
+  // inline when no helper is idle) with exclusive worker slots.
+  constexpr size_t kOuter = 6;
+  constexpr size_t kInner = 40;
+  constexpr size_t kInnerWorkers = 32;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  parallel_tasks(kOuter, kOuter, [&](size_t o, size_t) {
+    std::vector<std::atomic<int>> active(kInnerWorkers);
+    parallel_tasks(kInner, kInnerWorkers, [&](size_t i, size_t w) {
+      ASSERT_LT(w, kInnerWorkers);
+      ASSERT_EQ(active[w].fetch_add(1), 0);
+      hits[o * kInner + i].fetch_add(1);
+      active[w].fetch_sub(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(Parallel, ConcurrentCallersGetExclusiveWorkerSlots) {
+  // Eight raw threads fork at once on the shared helpers; every fork still
+  // covers its tasks once, and within a fork no worker slot is used by two
+  // threads at the same time.
+  constexpr size_t kCallers = 8;
+  constexpr size_t kRounds = 50;
+  constexpr size_t kTasks = 97;
+  constexpr size_t kWorkers = 4;
+  std::atomic<size_t> bad{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&] {
+      for (size_t round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> hits(kTasks);
+        std::vector<std::atomic<int>> active(kWorkers);
+        parallel_tasks(kTasks, kWorkers, [&](size_t t, size_t w) {
+          if (w >= kWorkers || active[w].fetch_add(1) != 0) ++bad;
+          hits[t].fetch_add(1);
+          active[w].fetch_sub(1);
+        });
+        for (const auto& h : hits)
+          if (h.load() != 1) ++bad;
+      }
+    });
+  }
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0u);
+}
+
+TEST(Parallel, ExecutorStaysUsableAfterAnException) {
+  for (int round = 0; round < 3; ++round) {
+    EXPECT_THROW(parallel_tasks(64, 4,
+                                [&](size_t task, size_t) {
+                                  if (task % 7 == 3) throw Error("boom");
+                                }),
+                 Error);
+    std::vector<std::atomic<int>> hits(200);
+    parallel_tasks(hits.size(), 4,
+                   [&](size_t t, size_t) { hits[t].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
+}
+
+TEST(Parallel, DistinctThreadsNeverExceedTheCap) {
+  // A budget far above the cap is clamped: 64 tasks at 1000 workers run on
+  // at most max_fork_workers() threads, the caller included.
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  parallel_tasks(64, 1000, [&](size_t, size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_LE(ids.size(), max_fork_workers());
+  EXPECT_GT(ids.size(), 1u);  // an idle helper always takes part
+}
+
+TEST(Parallel, WorkerBudgetBoundsEveryHelper) {
+  const size_t before = offloaded_tasks();
+  {
+    const WorkerBudget one(1);
+    EXPECT_EQ(worker_budget(), 1u);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<int> off_caller{0};
+    const auto check = [&] {
+      if (std::this_thread::get_id() != caller) ++off_caller;
+    };
+    parallel_for(0, 1000, [&](size_t) { check(); });
+    parallel_chunks(1000, 7, [&](size_t, size_t) { check(); });
+    parallel_tasks(50, 0, [&](size_t, size_t) { check(); });
+    std::vector<f32> v(100000, 1.0f);
+    EXPECT_TRUE(parallel_finite_minmax(std::span<const f32>{v}).finite);
+    EXPECT_EQ(off_caller.load(), 0);
+  }
+  EXPECT_EQ(offloaded_tasks(), before);
+  EXPECT_EQ(worker_budget(), static_cast<size_t>(max_threads()));
+  {
+    // A helper runs its share under the forking thread's budget, so a
+    // fork nested in a task is bounded too.
+    const WorkerBudget two(2);
+    std::atomic<int> wider{0};
+    parallel_tasks(2, 2, [&](size_t, size_t) {
+      if (worker_budget() != 2) ++wider;
+    });
+    EXPECT_EQ(wider.load(), 0);
+    EXPECT_GT(offloaded_tasks(), before);  // the helper ran its task
+  }
+}
+
 TEST(Parallel, FiniteMinmaxMatchesSerialScan) {
   Rng rng(7);
   std::vector<f32> v(10001);
@@ -235,6 +345,15 @@ TEST(Parallel, FiniteMinmaxMatchesSerialScan) {
   EXPECT_TRUE(r64.finite);
   EXPECT_EQ(r64.lo, -100.0);
   EXPECT_EQ(r64.hi, 175.5);
+
+  // The per-worker blocks merge to the same answer at any budget.
+  for (const size_t workers : {size_t{1}, size_t{3}, size_t{8}}) {
+    const WorkerBudget budget(workers);
+    const auto rb = parallel_finite_minmax(std::span<const f32>{v});
+    EXPECT_TRUE(rb.finite);
+    EXPECT_EQ(rb.lo, -100.0f) << workers;
+    EXPECT_EQ(rb.hi, 175.5f) << workers;
+  }
 }
 
 template <typename T>

@@ -179,7 +179,7 @@ TEST(Pipeline, AbsoluteAndRelativeBoundsAgree) {
 
 TEST(Pipeline, CompressionIsDeterministic) {
   // Reproducibility matters for archival workflows: the same input and
-  // parameters must yield byte-identical streams run to run (the OpenMP
+  // parameters must yield byte-identical streams run to run (the parallel
   // loops must not introduce ordering effects).
   const Field f = smooth_field(Dims{96, 96}, 77);
   FzParams params;

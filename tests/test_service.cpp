@@ -115,6 +115,16 @@ Request compress_request(const Field& f, ErrorBound eb) {
   return req;
 }
 
+/// Run fn(c) for clients c in [0, n), each on its own thread of a pool
+/// sized to n, and expect none of them to throw.
+template <typename Fn>
+void run_clients(size_t n, const Fn& fn) {
+  ThreadPool crew(n);
+  for (size_t c = 0; c < n; ++c) crew.submit([&fn, c](size_t) { fn(c); });
+  crew.wait_idle();
+  EXPECT_EQ(crew.dropped_exceptions(), 0u) << "a client thread threw";
+}
+
 std::string test_socket_path(const char* tag) {
   return "/tmp/fz-test-" + std::string(tag) + "-" +
          std::to_string(static_cast<long>(::getpid())) + ".sock";
@@ -464,7 +474,7 @@ TEST(Service, SubmitIsUsableFromManyThreadsAtOnce) {
   Service service(opt);
 
   std::atomic<size_t> mismatches{0};
-  run_task_crew(8, 8, [&](size_t, size_t) {
+  run_clients(8, [&](size_t) {
     Request req = compress_request(f, eb);
     Response resp;
     for (int i = 0; i < 25; ++i) {
@@ -520,7 +530,7 @@ TEST(ServiceSoak, MixedTrafficIsByteIdenticalAndSteadyStateIsAllocFree) {
   std::atomic<size_t> failures{0};
   std::atomic<size_t> completed{0};
 
-  run_task_crew(kClients, kClients, [&](size_t task, size_t) {
+  run_clients(kClients, [&](size_t task) {
     Request req;
     Response resp;
     req.kind = JobKind::Compress;
@@ -570,15 +580,8 @@ TEST(ServiceSoak, MixedTrafficIsByteIdenticalAndSteadyStateIsAllocFree) {
     const Status s = service.submit(req, resp);
     ASSERT_TRUE(s.ok());
   }
-#if defined(FZ_HAVE_OPENMP)
   EXPECT_EQ(g_alloc_count.load(), before)
       << "warm service loop hit the heap";
-#else
-  // Without OpenMP the comparison stays informative but non-fatal: the
-  // fused pass runs with fused_workers=1 (inline, no thread spawn), so
-  // this still holds in practice.
-  EXPECT_GE(g_alloc_count.load(), before);
-#endif
   EXPECT_EQ(resp.payload, expected[2]);
 }
 
@@ -720,7 +723,7 @@ TEST(ServerSocket, ManyClientsOverTheWire) {
   const std::vector<u8> expected = fz_compress(f.values(), f.dims, params).bytes;
 
   std::atomic<size_t> mismatches{0};
-  run_task_crew(6, 6, [&](size_t, size_t) {
+  run_clients(6, [&](size_t) {
     Client client(path);
     Response resp;
     for (int i = 0; i < 20; ++i) {

@@ -669,8 +669,8 @@ void check_hygiene(const SourceFile& file, const LexedFile& lexed,
       out.push_back(
           {file.path, t.line, kRuleHygiene,
            "raw std::thread outside common/thread_pool.{hpp,cpp}: use "
-           "fz::ThreadPool or run_task_crew so threads stay pooled and "
-           "exceptions stay contained"});
+           "fz::ThreadPool or the common/parallel.hpp helpers so threads "
+           "stay pooled and exceptions stay contained"});
     }
   }
 }
