@@ -9,6 +9,7 @@
 #include <iostream>
 #include <map>
 
+#include "core/costs.hpp"
 #include "core/pipeline.hpp"
 #include "cudasim/device_model.hpp"
 #include "datasets/generators.hpp"
@@ -30,15 +31,12 @@ int main() {
            "bitshuf-mark v2", "psum-encode v1", "psum-encode v2"});
 
   for (const Field& f : fields) {
-    FzParams v1_split, v2_split, v2_fused;
-    v1_split.eb = v2_split.eb = v2_fused.eb = ErrorBound::relative(rel_eb);
-    v1_split.quant = QuantVersion::V1Original;
-    v1_split.fused_bitshuffle_mark = false;
-    v2_split.fused_bitshuffle_mark = false;
+    FzParams v1, v2;
+    v1.eb = v2.eb = ErrorBound::relative(rel_eb);
+    v1.quant = QuantVersion::V1Original;
 
-    const FzCompressed cv1 = fz_compress(f.values(), f.dims, v1_split);
-    const FzCompressed cv2s = fz_compress(f.values(), f.dims, v2_split);
-    const FzCompressed cv2f = fz_compress(f.values(), f.dims, v2_fused);
+    const FzCompressed cv1 = fz_compress(f.values(), f.dims, v1);
+    const FzCompressed cv2 = fz_compress(f.values(), f.dims, v2);
 
     // Fixed costs scaled to the dataset's full size (size emulation).
     double full_bytes = static_cast<double>(f.bytes());
@@ -56,20 +54,14 @@ int main() {
       return static_cast<double>(f.bytes()) / 1e9 / s;
     };
     // Split bitshuffle+mark = sum of the two kernels.
-    auto tp_split_shuffle = [&](const FzCompressed& c) {
-      double s = 0;
-      for (const auto& k : c.stage_costs)
-        if (k.name == "bitshuffle" || k.name == "mark")
-          s += a100.seconds(k, fixed_scale);
-      return static_cast<double>(f.bytes()) / 1e9 / s;
-    };
+    const auto split = fz_split_bitshuffle_mark_costs(cv2.stats);
 
     t.add_row({f.dataset, fmt_gbps(tp(cv1.stage_costs, "pred-quant-v1")),
-               fmt_gbps(tp(cv2f.stage_costs, "pred-quant-v2")),
-               fmt_gbps(tp_split_shuffle(cv2s)),
-               fmt_gbps(tp(cv2f.stage_costs, "bitshuffle-mark-fused")),
+               fmt_gbps(tp(cv2.stage_costs, "pred-quant-v2")),
+               fmt_gbps(tp(split, "")),
+               fmt_gbps(tp(cv2.stage_costs, "bitshuffle-mark-fused")),
                fmt_gbps(tp(cv1.stage_costs, "prefix-sum-encode")),
-               fmt_gbps(tp(cv2f.stage_costs, "prefix-sum-encode"))});
+               fmt_gbps(tp(cv2.stage_costs, "prefix-sum-encode"))});
   }
   t.print(std::cout);
   std::cout

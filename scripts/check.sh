@@ -37,7 +37,8 @@
 #                       and fused-decompress schedule-independence suites
 #                       (thread-scaling byte-identity under the sanitizers)
 #                       and of the reader's concurrency tests
-#   6. tsan           — pool/codec/chunked/threading tests under
+#   6. tsan           — pool/codec/chunked/threading tests and the golden
+#                       streams (byte identity at every worker count) under
 #                       ThreadSanitizer (host-side concurrency)
 #   7. lint           — clang-tidy over src/ (.clang-tidy profile,
 #                       WarningsAsErrors: any warning fails); skipped with a

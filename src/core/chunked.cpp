@@ -66,6 +66,16 @@ size_t resolve_workers(size_t max_parallelism, size_t num_tasks) {
   return std::max<size_t>(1, std::min(cap, num_tasks));
 }
 
+/// The chunk codecs' parameters: a nonzero cap with no explicit per-codec
+/// budget splits evenly over the chunk workers, so the strips inside each
+/// chunk never take the cores the cap leaves out.
+FzParams chunk_codec_params(FzParams params, size_t max_parallelism,
+                            size_t workers) {
+  if (max_parallelism != 0 && params.fused_workers == 0)
+    params.fused_workers = std::max<size_t>(1, max_parallelism / workers);
+  return params;
+}
+
 telemetry::Sink* resolve_sink(const FzParams& params) {
   return params.telemetry != nullptr ? params.telemetry
                                      : telemetry::active_sink();
@@ -205,9 +215,10 @@ ChunkedCompressed fz_compress_chunked(FloatSpan data, Dims dims,
                                       const ChunkedParams& params) {
   FZ_REQUIRE(data.size() == dims.count() && !data.empty(),
              "chunked: bad input");
-  FZ_REQUIRE(params.container_version == 1 ||
-                 params.container_version == kContainerVersion,
-             "chunked: unknown container version");
+  // The range pass below forks outside any codec run: bound it by the cap.
+  const WorkerBudget budget(params.max_parallelism != 0
+                                ? params.max_parallelism
+                                : worker_budget());
   // Resolve the error bound once over the WHOLE field so every chunk uses
   // the same absolute bound (a per-chunk range would change the semantics).
   FzParams base = params.base;
@@ -225,7 +236,8 @@ ChunkedCompressed fz_compress_chunked(FloatSpan data, Dims dims,
   // array keeps chunk order, so the container bytes do not depend on the
   // schedule.
   const size_t workers = resolve_workers(params.max_parallelism, slabs.size());
-  auto codecs = make_worker_codecs(workers, base);
+  auto codecs = make_worker_codecs(
+      workers, chunk_codec_params(base, params.max_parallelism, workers));
   telemetry::Sink* sink = resolve_sink(base);
   telemetry::Span total(sink, "compress-chunked");
   parallel_tasks(slabs.size(), workers, [&](size_t c, size_t w) {
@@ -243,46 +255,32 @@ ChunkedCompressed fz_compress_chunked(FloatSpan data, Dims dims,
     }
   });
 
+  // v2: header, then the chunk index (offset/bytes/element placement per
+  // chunk — the random-access substrate), then the chunk streams.
   ByteWriter w(out.bytes);
-  if (params.container_version == kContainerVersion) {
-    // v2: header, then the chunk index (offset/bytes/element placement per
-    // chunk — the random-access substrate), then the chunk streams.
-    ContainerHeaderV2 h{};
-    h.magic = kContainerMagic;
-    h.sentinel = kContainerV2Sentinel;
-    h.version = kContainerVersion;
-    h.rank = static_cast<u8>(dims.rank());
-    h.num_chunks = static_cast<u32>(slabs.size());
-    h.nx = dims.x;
-    h.ny = dims.y;
-    h.nz = dims.z;
-    w.put(h);
-    u64 offset = sizeof(ContainerHeaderV2) +
-                 static_cast<u64>(slabs.size()) * sizeof(ChunkIndexEntry);
-    for (size_t c = 0; c < slabs.size(); ++c) {
-      const Dims cd = slab_dims(dims, slabs[c].second);
-      ChunkIndexEntry e{};
-      e.offset = offset;
-      e.bytes = parts[c].bytes.size();
-      e.elem_offset = slabs[c].first * plane;
-      e.nx = cd.x;
-      e.ny = cd.y;
-      e.nz = cd.z;
-      w.put(e);
-      offset += e.bytes;
-    }
-  } else {
-    // Legacy v1: size table only (kept writable so read compat is tested
-    // against real streams, not synthetic fixtures).
-    ContainerHeaderV1 h{};
-    h.magic = kContainerMagic;
-    h.num_chunks = static_cast<u32>(slabs.size());
-    h.rank = static_cast<u8>(dims.rank());
-    h.nx = dims.x;
-    h.ny = dims.y;
-    h.nz = dims.z;
-    w.put(h);
-    for (const auto& p : parts) w.put<u64>(p.bytes.size());
+  ContainerHeaderV2 h{};
+  h.magic = kContainerMagic;
+  h.sentinel = kContainerV2Sentinel;
+  h.version = kContainerVersion;
+  h.rank = static_cast<u8>(dims.rank());
+  h.num_chunks = static_cast<u32>(slabs.size());
+  h.nx = dims.x;
+  h.ny = dims.y;
+  h.nz = dims.z;
+  w.put(h);
+  u64 offset = sizeof(ContainerHeaderV2) +
+               static_cast<u64>(slabs.size()) * sizeof(ChunkIndexEntry);
+  for (size_t c = 0; c < slabs.size(); ++c) {
+    const Dims cd = slab_dims(dims, slabs[c].second);
+    ChunkIndexEntry e{};
+    e.offset = offset;
+    e.bytes = parts[c].bytes.size();
+    e.elem_offset = slabs[c].first * plane;
+    e.nx = cd.x;
+    e.ny = cd.y;
+    e.nz = cd.z;
+    w.put(e);
+    offset += e.bytes;
   }
   for (const auto& p : parts) w.put_bytes(p.bytes);
 
@@ -374,7 +372,8 @@ FzDecompressed fz_decompress_chunked(ByteSpan stream, size_t max_parallelism) {
   out.data.resize(info.count);
   std::vector<std::vector<cudasim::CostSheet>> chunk_costs(info.chunks.size());
   const size_t workers = resolve_workers(max_parallelism, info.chunks.size());
-  auto codecs = make_worker_codecs(workers, FzParams{});
+  auto codecs = make_worker_codecs(
+      workers, chunk_codec_params(FzParams{}, max_parallelism, workers));
   telemetry::Sink* sink = resolve_sink(FzParams{});
   telemetry::Span total(sink, "decompress-chunked");
   parallel_tasks(info.chunks.size(), workers, [&](size_t c, size_t w) {

@@ -35,12 +35,10 @@ struct ChunkedParams {
   /// for small fields (at least one slowest-axis slab per chunk).
   size_t num_chunks = 4;
   /// Upper bound on concurrent chunk workers: 0 = one per hardware thread,
-  /// 1 = serial (the reference order for byte-identicality tests).
+  /// 1 = serial on the calling thread.  When nonzero and base.fused_workers
+  /// is 0, each chunk codec runs at max(1, max_parallelism / chunk workers)
+  /// workers, so the call uses at most max_parallelism threads.
   size_t max_parallelism = 0;
-  /// Container format version to write.  2 (the default) embeds the chunk
-  /// index that makes random access O(1); 1 writes the legacy size-table
-  /// container so the read-compat path stays honestly testable.
-  unsigned container_version = 2;
 };
 
 struct ChunkedCompressed {
@@ -77,7 +75,8 @@ ContainerInfo fz_container_info(ByteSpan stream);
 
 /// Decompress the whole container.  Chunks decompress in parallel, each
 /// directly into its slab of the output field (0 = one worker per hardware
-/// thread, 1 = serial).
+/// thread, 1 = serial; a nonzero cap bounds every thread of the call, as
+/// ChunkedParams::max_parallelism does).
 FzDecompressed fz_decompress_chunked(ByteSpan stream,
                                      size_t max_parallelism = 0);
 

@@ -57,6 +57,11 @@ constexpr double kHuffGapDecodeSmemTxPerSym = 2.0;
 // and align the bit cursor before the first symbol.
 constexpr double kHuffGapSegmentSetupOps = 24.0;
 
+/// The mark kernel's output: one byte flag and one bit flag per block.
+u64 flag_bytes(const FzStats& st) {
+  return static_cast<u64>(st.total_blocks) + st.total_blocks / 8;
+}
+
 }  // namespace
 
 std::vector<CostSheet> fz_compression_costs(const FzStats& st,
@@ -94,37 +99,16 @@ std::vector<CostSheet> fz_compression_costs(const FzStats& st,
   }
   costs.push_back(pq);
 
-  // ---- stage 2: bitshuffle + mark ----------------------------------------
-  const u64 flag_bytes = static_cast<u64>(blocks) + static_cast<u64>(blocks) / 8;
-  if (params.fused_bitshuffle_mark) {
-    CostSheet bs;
-    bs.name = "bitshuffle-mark-fused";
-    bs.kernel_launches = 1;
-    bs.global_bytes_read = words * sizeof(u32);
-    bs.global_bytes_written = words * sizeof(u32) + flag_bytes;
-    bs.thread_ops =
-        static_cast<u64>(w * kBitshuffleOpsPerWord + blocks * kMarkOpsPerBlock);
-    bs.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
-    costs.push_back(bs);
-  } else {
-    CostSheet bs;
-    bs.name = "bitshuffle";
-    bs.kernel_launches = 1;
-    bs.global_bytes_read = words * sizeof(u32);
-    bs.global_bytes_written = words * sizeof(u32);
-    bs.thread_ops = static_cast<u64>(w * kBitshuffleOpsPerWord);
-    bs.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
-    costs.push_back(bs);
-    CostSheet mark;
-    mark.name = "mark";
-    mark.kernel_launches = 1;
-    // The split kernel must re-read the shuffled words from global memory —
-    // the traffic the fusion eliminates (§3.4).
-    mark.global_bytes_read = words * sizeof(u32);
-    mark.global_bytes_written = flag_bytes;
-    mark.thread_ops = static_cast<u64>(blocks * kMarkOpsPerBlock);
-    costs.push_back(mark);
-  }
+  // ---- stage 2: bitshuffle + mark (fused, §3.4) ---------------------------
+  CostSheet bs;
+  bs.name = "bitshuffle-mark-fused";
+  bs.kernel_launches = 1;
+  bs.global_bytes_read = words * sizeof(u32);
+  bs.global_bytes_written = words * sizeof(u32) + flag_bytes(st);
+  bs.thread_ops =
+      static_cast<u64>(w * kBitshuffleOpsPerWord + blocks * kMarkOpsPerBlock);
+  bs.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
+  costs.push_back(bs);
 
   // ---- stage 3: prefix-sum + encode ---------------------------------------
   CostSheet enc;
@@ -143,6 +127,29 @@ std::vector<CostSheet> fz_compression_costs(const FzStats& st,
   costs.push_back(enc);
 
   return costs;
+}
+
+std::vector<CostSheet> fz_split_bitshuffle_mark_costs(const FzStats& st) {
+  const size_t words = round_up(st.count, kTileBytes / sizeof(u16)) / 2;
+  const double w = static_cast<double>(words);
+  const double blocks = static_cast<double>(st.total_blocks);
+
+  CostSheet bs;
+  bs.name = "bitshuffle";
+  bs.kernel_launches = 1;
+  bs.global_bytes_read = words * sizeof(u32);
+  bs.global_bytes_written = words * sizeof(u32);
+  bs.thread_ops = static_cast<u64>(w * kBitshuffleOpsPerWord);
+  bs.shared_transactions = static_cast<u64>(w * kBitshuffleSmemTxPerWord);
+  CostSheet mark;
+  mark.name = "mark";
+  mark.kernel_launches = 1;
+  // The split kernel must re-read the shuffled words from global memory —
+  // the traffic the fusion eliminates (§3.4).
+  mark.global_bytes_read = words * sizeof(u32);
+  mark.global_bytes_written = flag_bytes(st);
+  mark.thread_ops = static_cast<u64>(blocks * kMarkOpsPerBlock);
+  return {bs, mark};
 }
 
 CostSheet fz_fused_tile_cost(const FzStats& st) {

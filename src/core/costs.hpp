@@ -15,8 +15,15 @@
 
 namespace fz {
 
+/// The compress kernels FZ ships, in order: pred-quant (V1 or V2 per
+/// params.quant), the fused bitshuffle + mark (§3.4), prefix-sum + encode.
 std::vector<cudasim::CostSheet> fz_compression_costs(const FzStats& st,
                                                      const FzParams& params);
+/// The unfused alternative to the "bitshuffle-mark-fused" sheet for the
+/// fusion ablation (bench/fig10_ablation): separate "bitshuffle" and
+/// "mark" kernels, the second re-reading the shuffled words.
+std::vector<cudasim::CostSheet> fz_split_bitshuffle_mark_costs(
+    const FzStats& st);
 std::vector<cudasim::CostSheet> fz_decompression_costs(const FzStats& st,
                                                        const FzParams& params);
 

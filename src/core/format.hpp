@@ -1,7 +1,7 @@
 // The FZ stream format: the on-disk header plus its validation rules.
 //
 // Shared by the compression stage graph (core/stages.cpp), the decoders,
-// and fz_inspect, so a header field can never be written by one layer and
+// and fz::inspect, so a header field can never be written by one layer and
 // skipped by another's validation.  Internal — the public API is
 // core/pipeline.hpp and core/codec.hpp.
 #pragma once
@@ -97,8 +97,8 @@ constexpr u32 kMaxContainerChunks = 1u << 24;
 #pragma pack(push, 1)
 /// Container header, version 1 (legacy).  Followed by `num_chunks` u64 byte
 /// sizes, then by the concatenated chunk streams; chunk placement had to be
-/// recomputed from the slab plan.  Read-only today (written on request for
-/// compatibility tests).
+/// recomputed from the slab plan.  Read-only: no writer remains, and the
+/// byte fixtures under tests/data pin the readers.
 struct ContainerHeaderV1 {
   u32 magic;       // kContainerMagic
   u32 num_chunks;  // 1 .. 2^24-1 (which is how v1 streams stay identifiable)

@@ -214,20 +214,14 @@ void decode_segment_local(const Sections& src, Dims dims, i64 anchor,
   }
 }
 
-/// Dequantize (dequantize / dequantize_f32fast's per-element formula) and
-/// optionally undo the log transform.
-template <typename T, bool kFast, bool kLog>
+/// Dequantize (dequantize's per-element formula) and optionally undo the
+/// log transform.
+template <typename T, bool kLog>
 struct Reconstruct {
   double scale;
-  f32 scalef;
 
   T operator()(i64 v) const {
-    T d;
-    if constexpr (kFast) {
-      d = dequantize_value_f32fast(v, scale, scalef);
-    } else {
-      d = dequantize_value<T>(v, scale);
-    }
+    T d = dequantize_value<T>(v, scale);
     if constexpr (kLog) d = static_cast<T>(std::exp(static_cast<double>(d)));
     return d;
   }
@@ -269,7 +263,7 @@ void write_strips(const i64* pq, const StripLayout& layout, size_t strips,
 
 template <typename T>
 void fused_decode_impl(ByteSpan bit_flags, std::span<const u32> tile_offsets,
-                       ByteSpan blocks, const StreamHeader& h, bool f32_fast,
+                       ByteSpan blocks, const StreamHeader& h,
                        std::span<i64> pq, std::span<T> out,
                        const FusedDecodePlan& plan, SimdLevel level,
                        telemetry::Sink* sink) {
@@ -321,25 +315,12 @@ void fused_decode_impl(ByteSpan bit_flags, std::span<const u32> tile_offsets,
 
   // Pass 3: carry + reconstruct straight into the caller's output.
   const double scale = 2.0 * h.abs_eb;
-  const f32 scalef = static_cast<f32>(scale);
-  const bool log_transform = h.transform == kTransformLog;
-  const auto write = [&](const auto& reconstruct) {
-    write_strips(pq.data(), layout, strips, reconstruct, out.data(), sink);
-  };
-  if constexpr (std::is_same_v<T, f32>) {
-    if (f32_fast && f32fast_scale_ok(scale)) {
-      if (log_transform) {
-        write(Reconstruct<T, true, true>{scale, scalef});
-      } else {
-        write(Reconstruct<T, true, false>{scale, scalef});
-      }
-      return;
-    }
-  }
-  if (log_transform) {
-    write(Reconstruct<T, false, true>{scale, scalef});
+  if (h.transform == kTransformLog) {
+    write_strips(pq.data(), layout, strips, Reconstruct<T, true>{scale},
+                 out.data(), sink);
   } else {
-    write(Reconstruct<T, false, false>{scale, scalef});
+    write_strips(pq.data(), layout, strips, Reconstruct<T, false>{scale},
+                 out.data(), sink);
   }
 }
 
@@ -426,22 +407,20 @@ FusedDecodePlan fused_decode_plan(Dims dims, size_t workers) {
 
 void fused_decode_parallel(ByteSpan bit_flags,
                            std::span<const u32> tile_offsets, ByteSpan blocks,
-                           const StreamHeader& header, bool f32_fast,
-                           std::span<i64> pq, std::span<f32> out,
-                           const FusedDecodePlan& plan, SimdLevel level,
-                           telemetry::Sink* sink) {
-  fused_decode_impl(bit_flags, tile_offsets, blocks, header, f32_fast, pq, out,
-                    plan, level, sink);
+                           const StreamHeader& header, std::span<i64> pq,
+                           std::span<f32> out, const FusedDecodePlan& plan,
+                           SimdLevel level, telemetry::Sink* sink) {
+  fused_decode_impl(bit_flags, tile_offsets, blocks, header, pq, out, plan,
+                    level, sink);
 }
 
 void fused_decode_parallel(ByteSpan bit_flags,
                            std::span<const u32> tile_offsets, ByteSpan blocks,
-                           const StreamHeader& header, bool f32_fast,
-                           std::span<i64> pq, std::span<f64> out,
-                           const FusedDecodePlan& plan, SimdLevel level,
-                           telemetry::Sink* sink) {
-  fused_decode_impl(bit_flags, tile_offsets, blocks, header, f32_fast, pq, out,
-                    plan, level, sink);
+                           const StreamHeader& header, std::span<i64> pq,
+                           std::span<f64> out, const FusedDecodePlan& plan,
+                           SimdLevel level, telemetry::Sink* sink) {
+  fused_decode_impl(bit_flags, tile_offsets, blocks, header, pq, out, plan,
+                    level, sink);
 }
 
 }  // namespace fz

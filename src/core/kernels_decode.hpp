@@ -109,8 +109,7 @@ FusedDecodePlan fused_decode_plan(Dims dims, size_t workers);
 /// `tile_offsets` comes from decode_tile_offsets over them.  `header`
 /// supplies the dims, anchor, error bound and transform; `pq` is i64
 /// staging of the field's element count (contents need not be
-/// initialized).  `f32_fast` selects dequantize_f32fast's formula for f32
-/// output (ignored for f64).  `plan` comes from fused_decode_plan (any
+/// initialized).  `plan` comes from fused_decode_plan (any
 /// strip count from 1 to the split axis's line count is exact).  When
 /// `sink` is non-null each strip records a "fused-decode-strip" span
 /// (strip id, tile count, staged bytes) for its decode pass and a
@@ -119,15 +118,13 @@ FusedDecodePlan fused_decode_plan(Dims dims, size_t workers);
 /// ReconstructStage for every plan and SIMD tier.
 void fused_decode_parallel(ByteSpan bit_flags,
                            std::span<const u32> tile_offsets, ByteSpan blocks,
-                           const StreamHeader& header, bool f32_fast,
-                           std::span<i64> pq, std::span<f32> out,
-                           const FusedDecodePlan& plan, SimdLevel level,
-                           telemetry::Sink* sink = nullptr);
+                           const StreamHeader& header, std::span<i64> pq,
+                           std::span<f32> out, const FusedDecodePlan& plan,
+                           SimdLevel level, telemetry::Sink* sink = nullptr);
 void fused_decode_parallel(ByteSpan bit_flags,
                            std::span<const u32> tile_offsets, ByteSpan blocks,
-                           const StreamHeader& header, bool f32_fast,
-                           std::span<i64> pq, std::span<f64> out,
-                           const FusedDecodePlan& plan, SimdLevel level,
-                           telemetry::Sink* sink = nullptr);
+                           const StreamHeader& header, std::span<i64> pq,
+                           std::span<f64> out, const FusedDecodePlan& plan,
+                           SimdLevel level, telemetry::Sink* sink = nullptr);
 
 }  // namespace fz

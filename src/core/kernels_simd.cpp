@@ -1149,12 +1149,12 @@ FusedTileResult fused_quant_shuffle_mark_parallel(
 }
 
 FusedTileResult fused_quant_encode_parallel(
-    FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
-    std::span<u32> blocks, std::span<u8> bit_flags,
-    std::span<FusedStripRun> runs, std::span<i64> scratch,
-    const FusedParallelPlan& plan, SimdLevel level, telemetry::Sink* sink) {
-  return fused_parallel_impl(data, dims, abs_eb, f32_fast, blocks, {},
-                             bit_flags, runs, scratch, plan, level, sink);
+    FloatSpan data, Dims dims, double abs_eb, std::span<u32> blocks,
+    std::span<u8> bit_flags, std::span<FusedStripRun> runs,
+    std::span<i64> scratch, const FusedParallelPlan& plan, SimdLevel level,
+    telemetry::Sink* sink) {
+  return fused_parallel_impl(data, dims, abs_eb, true, blocks, {}, bit_flags,
+                             runs, scratch, plan, level, sink);
 }
 
 FusedTileResult fused_quant_encode_parallel(

@@ -48,8 +48,9 @@ void prequantize_simd(std::span<const f64> data, double eb, std::span<i64> out,
 /// test detects exactly those lanes (plus everything at |x| ≥ 2^21, where
 /// the margin stops being meaningful, and any eb whose f32 reciprocal is
 /// subnormal/infinite) and routes them through the exact double kernel.
-/// Pinned by QuantizerTest.F32FastPathMatchesExactOnTier1 and the
-/// adversarial sweeps in tests/test_simd.cpp.
+/// This row is the codec's f32 quantize in both compress graphs.  Pinned
+/// by QuantizerTest.F32FastPathMatchesExactOnTier1 and the adversarial
+/// sweeps in tests/test_simd.cpp.
 void prequantize_f32fast(FloatSpan data, double eb, std::span<i64> out,
                          SimdLevel level);
 
@@ -134,9 +135,9 @@ void fused_first_touch_strips(MutByteSpan bytes, size_t strips);
 /// byte-for-byte for every plan, without ever materializing the i64[count]
 /// pre-quant array.  V2 quantization only.  `scratch` must hold
 /// plan.scratch_elems i64 (contents need not be initialized); it is sliced
-/// per strip, so one pooled lease serves every worker.  `f32_fast` opts
-/// into the margin-tested fast-quant row (output is bit-identical either
-/// way).  When `sink` is non-null each strip records a "fused-strip" span
+/// per strip, so one pooled lease serves every worker.  `f32_fast`
+/// selects prequantize_f32fast's row over prequantize's (output is
+/// bit-identical either way).  When `sink` is non-null each strip records a "fused-strip" span
 /// (strip id, halo elems, consumed bytes) on its worker thread.
 FusedTileResult fused_quant_shuffle_mark_parallel(
     FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
@@ -170,9 +171,10 @@ struct FusedStripRun {
 /// the expanded kernel.  This removes the global prefix sum and the
 /// shuffled-array round trip of compact_blocks: the runs plus `bit_flags`
 /// equal fused_quant_shuffle_mark_parallel + compact_blocks byte for byte
-/// (pinned by tests/test_fused_parallel.cpp).
+/// (pinned by tests/test_fused_parallel.cpp).  f32 input is quantized by
+/// prequantize_f32fast's row.
 FusedTileResult fused_quant_encode_parallel(
-    FloatSpan data, Dims dims, double abs_eb, bool f32_fast,
+    FloatSpan data, Dims dims, double abs_eb,
     std::span<u32> blocks, std::span<u8> bit_flags,
     std::span<FusedStripRun> runs, std::span<i64> scratch,
     const FusedParallelPlan& plan, SimdLevel level,

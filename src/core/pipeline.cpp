@@ -143,15 +143,4 @@ Status status_from_current_exception() {
 
 }  // namespace detail
 
-FzHeaderInfo fz_inspect(ByteSpan stream) {
-  const StreamInfo info = inspect(stream);
-  FzHeaderInfo legacy;
-  legacy.dims = info.dims;
-  legacy.abs_eb = info.abs_eb;
-  legacy.quant = info.quant;
-  legacy.count = info.count;
-  legacy.dtype_bytes = info.dtype_bytes;
-  return legacy;
-}
-
 }  // namespace fz

@@ -67,10 +67,6 @@ class ParamError : public Error {
 struct FzParams {
   ErrorBound eb = ErrorBound::relative(1e-3);
   QuantVersion quant = QuantVersion::V2Optimized;
-  /// Fuse bitshuffle with encode phase 1 (paper §3.4).  The output is
-  /// identical either way; the flag selects which cost sheet the device
-  /// model sees (fused saves one global-memory round trip).
-  bool fused_bitshuffle_mark = true;
   /// V1-only: quantization radius.
   u32 radius = 512;
   /// Host execution: the worker budget of a run — the strip count of the
@@ -85,15 +81,6 @@ struct FzParams {
   /// from the FZ_SIMD env var / CPUID; every tier is bit-identical, so this
   /// never changes the stream either.
   SimdDispatch simd = SimdDispatch::Auto;
-  /// f32 inputs only: quantize with a float multiply + lrintf instead of
-  /// the double-promoted llround.  A margin test routes any value whose
-  /// scaled magnitude nears a rounding boundary (or 2^21) through the
-  /// exact path, so compressed streams are byte-identical to the default
-  /// path.  On decompress, reconstruction uses a float product while
-  /// |p| < 2^24 — values may differ from the default path by an f32 ulp
-  /// (the bound still holds up to f32 representation precision), which is
-  /// why this stays opt-in.
-  bool f32_fast_quant = false;
   /// Observability sink (src/telemetry/): when set, every stage, chunk, and
   /// pool interaction records spans/counters into it.  The sink must be
   /// thread-safe (fz::telemetry::Sink is); it must outlive every codec that
@@ -133,9 +120,10 @@ struct FzStats {
 struct FzCompressed {
   std::vector<u8> bytes;
   FzStats stats;
-  /// Stage cost sheets, in pipeline order: "pred-quant",
-  /// "bitshuffle-mark" (fused) or "bitshuffle"+"mark" (split),
-  /// "prefix-sum-encode".
+  /// Modeled device cost sheets of the kernels FZ ships, in pipeline
+  /// order: "pred-quant-v1"/"pred-quant-v2", "bitshuffle-mark-fused",
+  /// "prefix-sum-encode" (fz_compression_costs; the split bitshuffle +
+  /// mark kernels are priced by fz_split_bitshuffle_mark_costs).
   std::vector<cudasim::CostSheet> stage_costs;
 };
 
@@ -179,10 +167,9 @@ struct ChunkEntry {
 
 /// Everything a stream's header declares, fully validated: identity (dims,
 /// dtype, count), compression parameters (error bound, quant version,
-/// transform), format version, and the byte layout of every section.  The
-/// structured replacement for the loose fz_inspect output — returned by
-/// fz::inspect, consumed by the CLI `info` command and any service that
-/// routes streams without decompressing them.
+/// transform), format version, and the byte layout of every section.
+/// Returned by fz::inspect, consumed by the CLI `info` command and any
+/// service that routes streams without decompressing them.
 ///
 /// fz::inspect also accepts chunked containers: `container_version` is then
 /// nonzero, `chunks` holds the validated chunk index, the identity fields
@@ -241,21 +228,5 @@ namespace detail {
 /// never drift between entry points.
 Status status_from_current_exception();
 }  // namespace detail
-
-/// DEPRECATED legacy header peek: use fz::inspect (StreamInfo reports the
-/// same identity fields plus the full section layout and chunk index) or
-/// fz::try_inspect at a non-throwing boundary.  See docs/SERVICE.md for the
-/// migration table.  This shim survives one release for out-of-tree
-/// callers and is no longer used anywhere in-tree.
-struct FzHeaderInfo {
-  Dims dims;
-  double abs_eb;
-  QuantVersion quant;
-  size_t count;
-  unsigned dtype_bytes = 4;  ///< 4 = f32 stream, 8 = f64 stream
-};
-[[deprecated("use fz::inspect / fz::try_inspect (StreamInfo); see "
-             "docs/SERVICE.md")]]
-FzHeaderInfo fz_inspect(ByteSpan stream);
 
 }  // namespace fz

@@ -52,23 +52,6 @@ void dequantize(std::span<const i64> p, double eb, std::span<f64> out) {
   dequantize_impl(p, eb, out);
 }
 
-void dequantize_f32fast(std::span<const i64> p, double eb,
-                        std::span<f32> out) {
-  FZ_REQUIRE(p.size() == out.size(), "dequantize: size mismatch");
-  const double scale = 2.0 * eb;
-  const float scalef = static_cast<float>(scale);
-  // The fast product needs a normal, finite f32 scale; fall back to the
-  // exact expression when 2·eb rounds to zero/subnormal/inf in f32.
-  if (!f32fast_scale_ok(scale)) {
-    dequantize_impl(p, eb, out);
-    return;
-  }
-  parallel_chunks(p.size(), kQuantGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i)
-      out[i] = dequantize_value_f32fast(p[i], scale, scalef);
-  });
-}
-
 size_t quant_encode_v2(std::span<const i64> deltas, std::span<u16> codes) {
   FZ_REQUIRE(codes.size() == deltas.size(), "quant: size mismatch");
   std::atomic<size_t> saturated{0};

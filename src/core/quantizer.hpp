@@ -11,7 +11,6 @@
 //    (index + pre-quantized value) and their code is 0.
 #pragma once
 
-#include <cfloat>
 #include <span>
 #include <vector>
 
@@ -24,41 +23,17 @@ namespace fz {
 void prequantize(FloatSpan data, double eb, std::span<i64> out);
 void prequantize(std::span<const f64> data, double eb, std::span<i64> out);
 
-/// The per-element reconstruction formulas, shared by dequantize /
-/// dequantize_f32fast and the fused decode's write-out
-/// (core/kernels_decode.hpp) so both paths round identically.
-/// `scale` is 2·eb.
+/// The per-element reconstruction formula, shared by dequantize and the
+/// fused decode's write-out (core/kernels_decode.hpp) so both paths round
+/// identically.  `scale` is 2·eb.
 template <typename T>
 inline T dequantize_value(i64 p, double scale) {
   return static_cast<T>(static_cast<double>(p) * scale);
 }
 
-/// True when the f32 fast product applies: 2·eb must be a normal, finite
-/// f32, else dequantize_f32fast falls back to the exact expression.
-inline bool f32fast_scale_ok(double scale) {
-  return scale >= FLT_MIN && scale <= FLT_MAX;
-}
-
-/// The f32 fast formula: float(p) · float(2eb) while |p| < 2^24 (where
-/// float(p) is exact), the exact double expression otherwise.  Requires
-/// f32fast_scale_ok(scale); `scalef` is float(scale).
-inline f32 dequantize_value_f32fast(i64 p, double scale, f32 scalef) {
-  constexpr i64 kExactF32 = i64{1} << 24;
-  return (p > -kExactF32 && p < kExactF32) ? static_cast<f32>(p) * scalef
-                                           : dequantize_value<f32>(p, scale);
-}
-
 /// Reconstruction: d̂_i = p_i · 2eb.
 void dequantize(std::span<const i64> p, double eb, std::span<f32> out);
 void dequantize(std::span<const i64> p, double eb, std::span<f64> out);
-
-/// All-f32 reconstruction fast path: float(p_i) · float(2eb) while
-/// |p_i| < 2^24 (where float(p_i) is exact), the double expression above
-/// otherwise.  Differs from dequantize by at most the product's f32
-/// rounding — the reconstruction still honours the error bound (pinned by
-/// QuantizerTest.F32FastDequantHonoursBound).  Selected by
-/// FzParams::f32_fast_quant.
-void dequantize_f32fast(std::span<const i64> p, double eb, std::span<f32> out);
 
 // ---- V2: optimized (sign-magnitude, saturating) ----------------------------
 

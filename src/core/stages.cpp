@@ -50,7 +50,6 @@ void PipelineContext::begin_decompress(BufferPool* p,
   // Host execution knobs survive into the decompress stages; the
   // stream-derived fields (quant, eb, ...) are filled by ParseHeaderStage.
   params.simd = run_params.simd;
-  params.f32_fast_quant = run_params.f32_fast_quant;
   params.fused_workers = run_params.fused_workers;
   dims = {};
   count = n;
@@ -186,10 +185,8 @@ class DualQuantStage final : public Stage {
     const std::span<i64> pq = ctx.pq.as<i64>();
     if (ctx.dtype == sizeof(f64)) {
       prequantize_simd(source<f64>(ctx), ctx.abs_eb, pq, level);
-    } else if (ctx.params.f32_fast_quant) {
-      prequantize_f32fast(source<f32>(ctx), ctx.abs_eb, pq, level);
     } else {
-      prequantize_simd(source<f32>(ctx), ctx.abs_eb, pq, level);
+      prequantize_f32fast(source<f32>(ctx), ctx.abs_eb, pq, level);
     }
     lorenzo_forward(pq, ctx.dims, pq);
     // Anchor the first value: its "residual" is the value itself, which can
@@ -280,9 +277,9 @@ class FusedQuantShuffleMarkStage final : public Stage {
           plan, level, ctx.sink);
     } else {
       r = fused_quant_encode_parallel(
-          source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.params.f32_fast_quant,
-          ctx.shuffled.as<u32>(), ctx.bit_flags.as<u8>(), ctx.block_runs,
-          ctx.row_scratch.as<i64>(), plan, level, ctx.sink);
+          source<f32>(ctx), ctx.dims, ctx.abs_eb, ctx.shuffled.as<u32>(),
+          ctx.bit_flags.as<u8>(), ctx.block_runs, ctx.row_scratch.as<i64>(),
+          plan, level, ctx.sink);
     }
     ctx.run_words = ctx.shuffled.as<u32>();
     ctx.nonzero_blocks = 0;
@@ -526,8 +523,7 @@ class FusedDecodeStage final : public Stage {
   template <typename T>
   static void run_impl(PipelineContext& ctx, const FusedDecodePlan& plan) {
     fused_decode_parallel(ctx.sec_bit_flags, ctx.offsets.as<u32>(),
-                          ctx.sec_blocks, ctx.header,
-                          ctx.params.f32_fast_quant, ctx.pq.as<i64>(),
+                          ctx.sec_blocks, ctx.header, ctx.pq.as<i64>(),
                           ctx.output_as<T>(), plan,
                           resolve_simd(ctx.params.simd), ctx.sink);
   }
@@ -550,15 +546,7 @@ class ReconstructStage final : public Stage {
   template <typename T>
   static void run_impl(PipelineContext& ctx) {
     const std::span<T> out = ctx.output_as<T>();
-    if constexpr (std::is_same_v<T, f32>) {
-      if (ctx.params.f32_fast_quant) {
-        dequantize_f32fast(ctx.pq.as<i64>(), ctx.abs_eb, out);
-      } else {
-        dequantize(ctx.pq.as<i64>(), ctx.abs_eb, out);
-      }
-    } else {
-      dequantize(ctx.pq.as<i64>(), ctx.abs_eb, out);
-    }
+    dequantize(ctx.pq.as<i64>(), ctx.abs_eb, out);
     if (!ctx.log_transform) return;
     parallel_chunks(out.size(), size_t{1} << 14, [&](size_t b, size_t e) {
       for (size_t i = b; i < e; ++i)

@@ -137,7 +137,7 @@ struct PipelineContext {
                       size_t n, u8 run_dtype, const void* data,
                       std::vector<u8>* out);
   /// Prepare the context for a decompression run.  `run_params` carries
-  /// only the host execution knobs (simd, f32_fast_quant, fused_workers);
+  /// only the host execution knobs (simd, fused_workers);
   /// everything stream-related comes from the parsed header.
   void begin_decompress(BufferPool* p, const FzParams& run_params,
                         ByteSpan run_stream, size_t n, u8 run_dtype,

@@ -56,7 +56,7 @@ inline FzCompressed compress(std::span<const f64> data, Dims dims,
 
 /// Decompress through the classic graph into `out`, which must hold the
 /// stream's element count.  `params` supplies only the host execution
-/// knobs (simd, f32_fast_quant, fused_workers), as for Codec.  Returns the
+/// knobs (simd, fused_workers), as for Codec.  Returns the
 /// stream's dims.
 template <typename T>
 Dims decompress_into(ByteSpan stream, std::span<T> out,
@@ -100,8 +100,7 @@ namespace detail {
 
 template <typename T>
 FusedTiles one_strip_tiles_impl(std::span<const T> data, Dims dims,
-                                double abs_eb, SimdLevel level,
-                                bool f32_fast) {
+                                double abs_eb, SimdLevel level) {
   // Outputs and scratch start poisoned, so a byte the kernel fails to
   // write shows up in any comparison.
   const size_t words = round_up(data.size(), kCodesPerTile) / 2;
@@ -113,8 +112,8 @@ FusedTiles one_strip_tiles_impl(std::span<const T> data, Dims dims,
   std::vector<i64> scratch(plan.scratch_elems, -1);
   if constexpr (std::is_same_v<T, f32>) {
     t.res = fused_quant_shuffle_mark_parallel(
-        data, dims, abs_eb, f32_fast, t.shuffled, t.byte_flags, t.bit_flags,
-        scratch, plan, level);
+        data, dims, abs_eb, /*f32_fast=*/false, t.shuffled, t.byte_flags,
+        t.bit_flags, scratch, plan, level);
   } else {
     t.res = fused_quant_shuffle_mark_parallel(data, dims, abs_eb, t.shuffled,
                                               t.byte_flags, t.bit_flags,
@@ -127,14 +126,15 @@ FusedTiles one_strip_tiles_impl(std::span<const T> data, Dims dims,
 
 /// fused_quant_shuffle_mark_parallel at fused_parallel_plan(dims, 1): what
 /// DualQuantStage + BitshuffleMarkStage produce, computed in one pass on
-/// one thread.
+/// one thread.  f32 input takes prequantize's exact row, so a match with
+/// the codec's output also checks its margin-tested fast row.
 inline FusedTiles one_strip_tiles(FloatSpan data, Dims dims, double abs_eb,
-                                  SimdLevel level, bool f32_fast = false) {
-  return detail::one_strip_tiles_impl(data, dims, abs_eb, level, f32_fast);
+                                  SimdLevel level) {
+  return detail::one_strip_tiles_impl(data, dims, abs_eb, level);
 }
 inline FusedTiles one_strip_tiles(std::span<const f64> data, Dims dims,
                                   double abs_eb, SimdLevel level) {
-  return detail::one_strip_tiles_impl(data, dims, abs_eb, level, false);
+  return detail::one_strip_tiles_impl(data, dims, abs_eb, level);
 }
 
 }  // namespace fz::ref

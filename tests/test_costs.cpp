@@ -24,12 +24,15 @@ FzStats stats_for(size_t count, double nz_fraction, size_t outliers = 0) {
   return st;
 }
 
-TEST(CostModel, PipelineHasThreeStagesFusedFourSplit) {
+TEST(CostModel, PipelineHasThreeStagesSplitShuffleMarkTwo) {
   const FzStats st = stats_for(1 << 20, 0.3);
-  FzParams fused, split;
-  split.fused_bitshuffle_mark = false;
-  EXPECT_EQ(fz_compression_costs(st, fused).size(), 3u);
-  EXPECT_EQ(fz_compression_costs(st, split).size(), 4u);
+  const auto costs = fz_compression_costs(st, FzParams{});
+  ASSERT_EQ(costs.size(), 3u);
+  EXPECT_EQ(costs[1].name, "bitshuffle-mark-fused");
+  const auto split = fz_split_bitshuffle_mark_costs(st);
+  ASSERT_EQ(split.size(), 2u);
+  EXPECT_EQ(split[0].name, "bitshuffle");
+  EXPECT_EQ(split[1].name, "mark");
 }
 
 TEST(CostModel, CostsScaleLinearlyWithSize) {
@@ -56,20 +59,15 @@ TEST(CostModel, V1WritesMoreThanV2) {
 
 TEST(CostModel, FusionSavesOneGlobalRoundTrip) {
   const FzStats st = stats_for(1 << 20, 0.3);
-  FzParams fused, split;
-  split.fused_bitshuffle_mark = false;
-  u64 fused_bytes = 0, split_bytes = 0, fused_launches = 0, split_launches = 0;
-  for (const auto& c : fz_compression_costs(st, fused)) {
-    fused_bytes += c.global_bytes();
-    fused_launches += c.kernel_launches;
-  }
-  for (const auto& c : fz_compression_costs(st, split)) {
+  const cudasim::CostSheet fused = fz_compression_costs(st, FzParams{})[1];
+  u64 split_bytes = 0, split_launches = 0;
+  for (const auto& c : fz_split_bitshuffle_mark_costs(st)) {
     split_bytes += c.global_bytes();
     split_launches += c.kernel_launches;
   }
   // The split mark kernel re-reads the whole shuffled array.
-  EXPECT_EQ(split_bytes - fused_bytes, (st.count / 2) * 4);
-  EXPECT_EQ(split_launches, fused_launches + 1);
+  EXPECT_EQ(split_bytes - fused.global_bytes(), (st.count / 2) * 4);
+  EXPECT_EQ(split_launches, fused.kernel_launches + 1u);
 }
 
 TEST(CostModel, EncodeCostTracksNonzeroBlocks) {

@@ -2,7 +2,7 @@
 // the cache-resident scatter + inverse-bitshuffle + sign-magnitude decode
 // + inverse Lorenzo + dequantize pass must reconstruct byte-identical
 // fields to the classic staged graph for EVERY worker count, SIMD tier,
-// dtype, rank, f32_fast_quant setting and transform — including strip
+// dtype, rank and transform — including strip
 // edges that fall mid-tile, one-line strips, row strips that span every
 // plane of a thin slab, and streams read in place at odd byte offsets;
 // corrupt flags and truncated payloads must fail with the classic graph's
@@ -172,7 +172,7 @@ TEST(FusedDecompress, LegacyV1StreamsRouteToTheClassicGraph) {
   expect_bits_equal<f32>(a, b, "v1 stream");
 }
 
-// ---- fused decode into the caller's buffer: strip edges and formulas -------
+// ---- fused decode into the caller's buffer: strip edges and transforms -----
 
 // Rows/planes that are not multiples of a 2048-code tile, so strip edges
 // fall mid-tile, and shapes with fewer carry-axis lines (nz, or ny in 2-D)
@@ -189,63 +189,52 @@ std::vector<T> positive_field(Dims dims, u64 seed) {
   return v;
 }
 
-struct DecodeCase {
-  bool f32_fast = false;
-  bool log_transform = false;
-  std::string label() const {
-    return std::string(f32_fast ? " f32-fast" : "") +
-           (log_transform ? " log" : "");
-  }
-};
+std::string log_label(bool log_transform) {
+  return log_transform ? " log" : "";
+}
 
 template <typename T>
-FzCompressed compress_case(Dims dims, const DecodeCase& dc) {
+FzCompressed compress_case(Dims dims, bool log_transform) {
   FzParams cp;
-  cp.eb = dc.log_transform ? ErrorBound::pointwise_relative(1e-3)
+  cp.eb = log_transform ? ErrorBound::pointwise_relative(1e-3)
                            : ErrorBound::absolute(1e-3);
-  cp.f32_fast_quant = dc.f32_fast;
   cp.fused_workers = 1;
   Codec compressor(cp);
-  const std::vector<T> data = dc.log_transform
+  const std::vector<T> data = log_transform
                                   ? positive_field<T>(dims, dims.count())
                                   : field<T>(dims, dims.count());
   return compressor.compress(std::span<const T>{data}, dims);
 }
 
 template <typename T>
-std::vector<T> classic_decode(const FzCompressed& c, Dims dims,
-                              const DecodeCase& dc) {
-  FzParams dp;
-  dp.f32_fast_quant = dc.f32_fast;
+std::vector<T> classic_decode(const FzCompressed& c, Dims dims) {
   std::vector<T> want(dims.count());
-  EXPECT_EQ(ref::decompress_into(c.bytes, std::span<T>{want}, dp), dims);
+  EXPECT_EQ(ref::decompress_into(c.bytes, std::span<T>{want}), dims);
   return want;
 }
 
 template <typename T>
-void sweep_odd_shape(Dims dims, const DecodeCase& dc) {
-  const FzCompressed c = compress_case<T>(dims, dc);
-  const std::vector<T> want = classic_decode<T>(c, dims, dc);
+void sweep_odd_shape(Dims dims, bool log_transform) {
+  const FzCompressed c = compress_case<T>(dims, log_transform);
+  const std::vector<T> want = classic_decode<T>(c, dims);
   for (size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
     FzParams dp;
-    dp.f32_fast_quant = dc.f32_fast;
     dp.fused_workers = workers;
     Codec codec(dp);
     std::vector<T> got(want.size(), T(-1));
     ASSERT_EQ(codec.decompress_into(c.bytes, got), dims);
     expect_bits_equal<T>(got, want,
-                         dims.to_string() + dc.label() + " f" +
+                         dims.to_string() + log_label(log_transform) + " f" +
                              std::to_string(sizeof(T) * 8) + " workers " +
                              std::to_string(workers));
   }
 }
 
-TEST(FusedDecompress, MatchesClassicAcrossStripEdgesFastQuantAndLogTransform) {
+TEST(FusedDecompress, MatchesClassicAcrossStripEdgesAndLogTransform) {
   for (const Dims dims : kOddDims)
     for (const bool log_transform : {false, true}) {
-      sweep_odd_shape<f64>(dims, {false, log_transform});
-      for (const bool f32_fast : {false, true})
-        sweep_odd_shape<f32>(dims, {f32_fast, log_transform});
+      sweep_odd_shape<f64>(dims, log_transform);
+      sweep_odd_shape<f32>(dims, log_transform);
     }
 }
 
@@ -285,16 +274,16 @@ size_t plan_lines(Dims dims, bool rows) {
 
 template <typename T>
 void expect_kernel_exact(const StreamSections& p, Dims dims,
-                         const DecodeCase& dc, const std::vector<T>& want,
+                         bool log_transform, const std::vector<T>& want,
                          const FusedDecodePlan& plan,
                          const std::string& what) {
   std::vector<i64> pq(dims.count());
   std::vector<T> got(dims.count(), T(-1));
-  fused_decode_parallel(p.bit_flags, p.tile_offsets, p.blocks, p.header,
-                        dc.f32_fast, pq, std::span<T>{got}, plan,
-                        simd_supported());
+  fused_decode_parallel(p.bit_flags, p.tile_offsets, p.blocks, p.header, pq,
+                        std::span<T>{got}, plan, simd_supported());
   expect_bits_equal<T>(got, want,
-                       what + dc.label() + (plan.rows ? " rows " : " planes ") +
+                       what + log_label(log_transform) +
+                           (plan.rows ? " rows " : " planes ") +
                            std::to_string(plan.strips));
 }
 
@@ -305,25 +294,24 @@ TEST(FusedDecompress, KernelIsExactForEveryStripCountUpToOneLinePerStrip) {
   // for row strips that span every plane.
   for (const Dims dims : {Dims{37, 29, 11}, Dims{448, 3, 5}, Dims{301, 29},
                           Dims{5000}, Dims{64, 64, 3}}) {
-    const DecodeCase dc{false, true};
-    const FzCompressed c = compress_case<f32>(dims, dc);
-    const std::vector<f32> want = classic_decode<f32>(c, dims, dc);
+    const FzCompressed c = compress_case<f32>(dims, true);
+    const std::vector<f32> want = classic_decode<f32>(c, dims);
     const StreamSections p = in_place_sections(c);
     for (const bool rows : {false, true}) {
       if (rows && dims.rank() != 3) continue;
       const size_t lines = plan_lines(dims, rows);
       for (size_t strips = 1; strips <= lines;
            strips = strips < 40 ? strips + 1 : strips * 7)
-        expect_kernel_exact<f32>(p, dims, dc, want, {strips, rows},
+        expect_kernel_exact<f32>(p, dims, true, want, {strips, rows},
                                  dims.to_string());
     }
   }
 }
 
 template <typename T>
-void sweep_plans(Dims dims, const DecodeCase& dc, size_t shift) {
-  const FzCompressed c = compress_case<T>(dims, dc);
-  const std::vector<T> want = classic_decode<T>(c, dims, dc);
+void sweep_plans(Dims dims, bool log_transform, size_t shift) {
+  const FzCompressed c = compress_case<T>(dims, log_transform);
+  const std::vector<T> want = classic_decode<T>(c, dims);
   const StreamSections p = in_place_sections(c, shift);
   const std::string what = dims.to_string() + " f" +
                            std::to_string(sizeof(T) * 8) + " shift " +
@@ -334,19 +322,19 @@ void sweep_plans(Dims dims, const DecodeCase& dc, size_t shift) {
     for (const size_t strips : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
                                 size_t{7}, std::min<size_t>(lines, 32)})
       if (strips <= lines)
-        expect_kernel_exact<T>(p, dims, dc, want, {strips, rows}, what);
+        expect_kernel_exact<T>(p, dims, log_transform, want, {strips, rows},
+                               what);
   }
   // The codec on the same unaligned bytes, at the plans it would pick.
   const ByteSpan stream(p.buffer.data() + shift, c.bytes.size());
   for (const size_t workers : {size_t{1}, size_t{4}, size_t{16}}) {
     FzParams dp;
-    dp.f32_fast_quant = dc.f32_fast;
     dp.fused_workers = workers;
     Codec codec(dp);
     std::vector<T> got(want.size(), T(-1));
     ASSERT_EQ(codec.decompress_into(stream, std::span<T>{got}), dims);
     expect_bits_equal<T>(got, want,
-                         what + dc.label() + " codec workers " +
+                         what + log_label(log_transform) + " codec workers " +
                              std::to_string(workers));
   }
 }
@@ -357,7 +345,7 @@ TEST(FusedDecompress, InPlaceDecodeMatchesClassicForPlaneAndRowPlans) {
   // row plan for 32768×3×2 wants 4–6 strips and gets 3); every
   // stream also decoded from copies at +1 and +3 bytes, so the payload's
   // 16-byte blocks are loaded unaligned.
-  // The shift rotates through {0, 1, 3} so every (dtype, formula) pair
+  // The shift rotates through {0, 1, 3} so every (dtype, transform) pair
   // meets each alignment on some shape.
   const size_t shifts[] = {0, 1, 3};
   size_t k = 0;
@@ -365,9 +353,8 @@ TEST(FusedDecompress, InPlaceDecodeMatchesClassicForPlaneAndRowPlans) {
                           Dims{448, 3, 5}, Dims{301, 29, 1}, Dims{200, 60, 2},
                           Dims{2100, 2, 3}, Dims{32768, 3, 2}}) {
     for (const bool log_transform : {false, true}) {
-      sweep_plans<f64>(dims, {false, log_transform}, shifts[k++ % 3]);
-      for (const bool f32_fast : {false, true})
-        sweep_plans<f32>(dims, {f32_fast, log_transform}, shifts[k++ % 3]);
+      sweep_plans<f64>(dims, log_transform, shifts[k++ % 3]);
+      sweep_plans<f32>(dims, log_transform, shifts[k++ % 3]);
     }
     ++k;
   }
@@ -456,9 +443,8 @@ TEST(FusedDecompress, ReaderAndServiceMatchTheClassicGraph) {
   // A log-transformed odd shape through both serving surfaces, against
   // the classic graph rather than another fused decode.
   const Dims dims{37, 29, 11};
-  const DecodeCase dc{false, true};
-  const FzCompressed c = compress_case<f32>(dims, dc);
-  const std::vector<f32> want = classic_decode<f32>(c, dims, dc);
+  const FzCompressed c = compress_case<f32>(dims, true);
+  const std::vector<f32> want = classic_decode<f32>(c, dims);
 
   ReaderOptions ro;
   ro.workers = 2;

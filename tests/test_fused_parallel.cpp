@@ -224,7 +224,7 @@ struct CompactOut {
 
 template <typename T>
 CompactOut run_compacting(std::span<const T> data, Dims dims, double eb,
-                          bool fast, size_t workers, SimdLevel level) {
+                          size_t workers, SimdLevel level) {
   const size_t words = round_up(data.size(), kCodesPerTile) / 2;
   const FusedParallelPlan plan = fused_parallel_plan(dims, workers);
   std::vector<u32> out(words, 0xdeadbeefu);
@@ -232,14 +232,8 @@ CompactOut run_compacting(std::span<const T> data, Dims dims, double eb,
   std::vector<i64> scratch(plan.scratch_elems, -1);
   CompactOut o;
   o.bit_flags.assign(div_ceil(words / kBlockWords, 8), 0xcd);
-  if constexpr (std::is_same_v<T, f32>) {
-    o.res = fused_quant_encode_parallel(data, dims, eb, fast, out,
-                                        o.bit_flags, runs, scratch, plan,
-                                        level);
-  } else {
-    o.res = fused_quant_encode_parallel(data, dims, eb, out, o.bit_flags,
-                                        runs, scratch, plan, level);
-  }
+  o.res = fused_quant_encode_parallel(data, dims, eb, out, o.bit_flags, runs,
+                                      scratch, plan, level);
   // Each run starts at its strip's first tile and fits inside its tiles.
   const size_t tiles = words / kTileWords;
   const size_t tiles_per = div_ceil(tiles, plan.strips);
@@ -253,10 +247,12 @@ CompactOut run_compacting(std::span<const T> data, Dims dims, double eb,
   return o;
 }
 
-/// The expanded kernel + the global prefix-sum compaction it replaces.
+/// The expanded kernel + the global prefix-sum compaction it replaces.  f32
+/// takes the exact quantize row, so a match also checks the compacting
+/// kernel's fast row.
 template <typename T>
 CompactOut run_expanded_then_compact(std::span<const T> data, Dims dims,
-                                     double eb, bool fast, SimdLevel level) {
+                                     double eb, SimdLevel level) {
   const size_t words = round_up(data.size(), kCodesPerTile) / 2;
   const FusedParallelPlan plan = fused_parallel_plan(dims, 2);
   std::vector<u32> shuffled(words);
@@ -265,7 +261,7 @@ CompactOut run_expanded_then_compact(std::span<const T> data, Dims dims,
   CompactOut o;
   o.bit_flags.resize(div_ceil(byte_flags.size(), 8));
   if constexpr (std::is_same_v<T, f32>) {
-    o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, fast, shuffled,
+    o.res = fused_quant_shuffle_mark_parallel(data, dims, eb, false, shuffled,
                                               byte_flags, o.bit_flags,
                                               scratch, plan, level);
   } else {
@@ -282,23 +278,15 @@ void check_compaction_matches(const std::vector<T>& data, Dims dims,
                               double eb, const std::string& label) {
   const std::span<const T> span{data};
   for (const SimdLevel level : levels_under_test()) {
-    for (const bool fast : {false, true}) {
-      // Only f32 has a fast-quant row.
-      if (fast && !std::is_same_v<T, f32>) continue;
-      const CompactOut want =
-          run_expanded_then_compact(span, dims, eb, fast, level);
-      for (const size_t workers :
-           {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
-        const CompactOut got =
-            run_compacting(span, dims, eb, fast, workers, level);
-        const std::string where = label + " " + simd_level_name(level) +
-                                  (fast ? " fast" : " exact") + " workers " +
-                                  std::to_string(workers);
-        ASSERT_EQ(want.bit_flags, got.bit_flags) << where;
-        ASSERT_EQ(want.blocks, got.blocks) << where;
-        EXPECT_EQ(want.res.anchor, got.res.anchor) << where;
-        EXPECT_EQ(want.res.saturated, got.res.saturated) << where;
-      }
+    const CompactOut want = run_expanded_then_compact(span, dims, eb, level);
+    for (const size_t workers : {size_t{1}, size_t{2}, size_t{3}, size_t{8}}) {
+      const CompactOut got = run_compacting(span, dims, eb, workers, level);
+      const std::string where = label + " " + simd_level_name(level) +
+                                " workers " + std::to_string(workers);
+      ASSERT_EQ(want.bit_flags, got.bit_flags) << where;
+      ASSERT_EQ(want.blocks, got.blocks) << where;
+      EXPECT_EQ(want.res.anchor, got.res.anchor) << where;
+      EXPECT_EQ(want.res.saturated, got.res.saturated) << where;
     }
   }
 }
@@ -345,7 +333,7 @@ TEST(FusedCompaction, StripsWithNoNonzeroBlocks) {
   const std::vector<f32> constant(cube.count(), 3.25f);
   check_compaction_matches(constant, cube, 1e-3, "constant");
   const CompactOut c = run_compacting(std::span<const f32>{constant}, cube,
-                                      1e-3, false, 8, SimdLevel::Scalar);
+                                      1e-3, 8, SimdLevel::Scalar);
   EXPECT_TRUE(c.blocks.empty());
 
   // RTM-like: the wavefield is exactly zero in the leading planes, so the
@@ -361,16 +349,15 @@ TEST(FusedCompaction, StripsWithNoNonzeroBlocks) {
   std::vector<u8> bit_flags(div_ceil(words / kBlockWords, 8));
   std::vector<FusedStripRun> runs(plan.strips);
   std::vector<i64> scratch(plan.scratch_elems);
-  fused_quant_encode_parallel(std::span<const f32>{wave}, rtm, 1e-3, false,
-                              out, bit_flags, runs, scratch, plan,
-                              resolve_simd());
+  fused_quant_encode_parallel(std::span<const f32>{wave}, rtm, 1e-3, out,
+                              bit_flags, runs, scratch, plan, resolve_simd());
   EXPECT_EQ(runs.front().blocks, 0u);
   EXPECT_GT(runs.back().blocks, 0u);
 }
 
 TEST(FusedCompaction, CodecStreamsMatchUnfusedGraph) {
   // The fused graph (compacting strips) against the classic five-stage
-  // graph, across ranks, dtypes, bound modes, fast-quant and workers.
+  // graph, across ranks, dtypes, bound modes and workers.
   for (const Dims dims : {Dims{5000}, Dims{96, 41}, Dims{32, 24, 24}}) {
     auto data = field<f32>(dims, 77 + dims.count());
     for (auto& x : data) x = std::fabs(x) + 0.5f;  // point-wise needs > 0
@@ -378,25 +365,20 @@ TEST(FusedCompaction, CodecStreamsMatchUnfusedGraph) {
     for (const ErrorBound eb :
          {ErrorBound::relative(1e-3), ErrorBound::absolute(1e-2),
           ErrorBound::pointwise_relative(1e-3)}) {
-      for (const bool fast : {false, true}) {
-        FzParams unfused;
-        unfused.eb = eb;
-        unfused.f32_fast_quant = fast;
-        const std::vector<u8> want32 = ref::compress(data, dims, unfused).bytes;
-        const std::vector<u8> want64 =
-            ref::compress(std::span<const f64>{wide}, dims, unfused).bytes;
-        for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
-          FzParams fused = unfused;
-          fused.fused_workers = workers;
-          Codec cf(fused);
-          const std::string where = dims_label(dims) + " workers " +
-                                    std::to_string(workers) +
-                                    (fast ? " fast" : " exact");
-          ASSERT_EQ(want32, cf.compress(data, dims).bytes) << where;
-          ASSERT_EQ(want64,
-                    cf.compress(std::span<const f64>{wide}, dims).bytes)
-              << where;
-        }
+      FzParams unfused;
+      unfused.eb = eb;
+      const std::vector<u8> want32 = ref::compress(data, dims, unfused).bytes;
+      const std::vector<u8> want64 =
+          ref::compress(std::span<const f64>{wide}, dims, unfused).bytes;
+      for (const size_t workers : {size_t{0}, size_t{1}, size_t{3}}) {
+        FzParams fused = unfused;
+        fused.fused_workers = workers;
+        Codec cf(fused);
+        const std::string where =
+            dims_label(dims) + " workers " + std::to_string(workers);
+        ASSERT_EQ(want32, cf.compress(data, dims).bytes) << where;
+        ASSERT_EQ(want64, cf.compress(std::span<const f64>{wide}, dims).bytes)
+            << where;
       }
     }
   }

@@ -21,6 +21,7 @@
 #include "substrate/huffman.hpp"
 #include "substrate/lz77.hpp"
 #include "substrate/rle.hpp"
+#include "test_data.hpp"
 
 namespace fz {
 namespace {
@@ -103,11 +104,10 @@ TEST(Fuzz, ChunkedContainerHostileInputs) {
 // index region, truncations through it, and hand-patched entries that are
 // individually plausible but violate the tiling invariants.
 
-std::vector<u8> chunked_container(unsigned version, u64 seed) {
+std::vector<u8> chunked_container(u64 seed) {
   const Field f = generate_field(Dataset::Hurricane, Dims{16, 12, 9}, seed);
   ChunkedParams params;
   params.num_chunks = 3;
-  params.container_version = version;
   return fz_compress_chunked(f.values(), f.dims, params).bytes;
 }
 
@@ -124,7 +124,7 @@ void expect_container_graceful(const std::vector<u8>& bytes,
 }
 
 TEST(Fuzz, ContainerIndexBitflips) {
-  const std::vector<u8> good = chunked_container(2, 11);
+  const std::vector<u8> good = chunked_container(11);
   const ContainerInfo info = fz_container_info(good);
   ASSERT_EQ(info.version, 2u);
   Rng rng(12);
@@ -138,7 +138,7 @@ TEST(Fuzz, ContainerIndexBitflips) {
 }
 
 TEST(Fuzz, ContainerIndexTruncations) {
-  const std::vector<u8> good = chunked_container(2, 13);
+  const std::vector<u8> good = chunked_container(13);
   for (size_t keep = 0; keep < good.size(); keep += 31)
     expect_container_graceful(
         std::vector<u8>(good.begin(), good.begin() + static_cast<long>(keep)),
@@ -146,7 +146,7 @@ TEST(Fuzz, ContainerIndexTruncations) {
 }
 
 TEST(Fuzz, ContainerIndexHostileEntries) {
-  const std::vector<u8> good = chunked_container(2, 14);
+  const std::vector<u8> good = chunked_container(14);
   const auto patch_entry = [&](size_t i, const ChunkIndexEntry& e) {
     std::vector<u8> bad = good;
     std::memcpy(bad.data() + sizeof(ContainerHeaderV2) +
@@ -195,7 +195,7 @@ TEST(Fuzz, ContainerIndexHostileEntries) {
 }
 
 TEST(Fuzz, LegacyContainerHostileInputs) {
-  const std::vector<u8> good = chunked_container(1, 15);
+  const std::vector<u8> good = test::load_test_data(test::kContainerV1Fuzz);
   ASSERT_EQ(fz_container_info(good).version, 1u);
   Rng rng(16);
   for (int trial = 0; trial < 150; ++trial) {

@@ -165,19 +165,6 @@ TEST(Golden, V2StreamsAreByteIdenticalAtEveryWorkerCount) {
   }
 }
 
-TEST(Golden, F32FastQuantEmitsTheSameStream) {
-  for (const Case& c : kCases) {
-    if (c.f64_input) continue;
-    const std::vector<f32> data = scaled_field<f32>(c.dims, 7);
-    FzParams p;
-    p.eb = c.eb;
-    p.f32_fast_quant = true;
-    const fz::FzCompressed comp =
-        fz::Codec(p).compress(std::span<const f32>{data}, c.dims);
-    expect_golden(c.name, comp.bytes, c.stream);
-  }
-}
-
 // The V1 stream is built by running the classic compress graph over a
 // stage context directly, which is the V1 codec path.
 TEST(Golden, V1StreamWithOutliers) {

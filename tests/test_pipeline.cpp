@@ -150,22 +150,6 @@ TEST(Pipeline, StatsAreConsistent) {
   EXPECT_EQ(c.stage_costs.size(), 3u);  // pred-quant, fused shuffle, encode
 }
 
-TEST(Pipeline, SplitKernelVariantSameBytesDifferentCosts) {
-  const Field f = smooth_field(Dims{64, 64}, 6);
-  FzParams fused, split;
-  fused.eb = split.eb = ErrorBound::relative(1e-3);
-  split.fused_bitshuffle_mark = false;
-  const FzCompressed a = fz_compress(f.values(), f.dims, fused);
-  const FzCompressed b = fz_compress(f.values(), f.dims, split);
-  EXPECT_EQ(a.bytes, b.bytes);  // fusion is a pure performance knob
-  EXPECT_EQ(b.stage_costs.size(), 4u);
-  // The split variant pays an extra global round trip.
-  u64 fused_bytes = 0, split_bytes = 0;
-  for (const auto& c : a.stage_costs) fused_bytes += c.global_bytes();
-  for (const auto& c : b.stage_costs) split_bytes += c.global_bytes();
-  EXPECT_GT(split_bytes, fused_bytes);
-}
-
 TEST(Pipeline, AbsoluteAndRelativeBoundsAgree) {
   const Field f = smooth_field(Dims{4096}, 8);
   const double range = f.value_range();
@@ -199,23 +183,21 @@ struct SweepCase {
   Dataset ds;
   double rel_eb;
   QuantVersion quant;
-  bool fused;
 };
 
 class PipelineSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(PipelineSweep, EveryConfigurationRoundTripsWithinBound) {
-  const auto [ds, rel_eb, quant, fused] = GetParam();
+  const auto [ds, rel_eb, quant] = GetParam();
   const Field f = generate_field(ds, scaled_dims(ds, 0.06), 101);
   FzParams params;
   params.eb = ErrorBound::relative(rel_eb);
   params.quant = quant;
-  params.fused_bitshuffle_mark = fused;
   const FzCompressed c = fz_compress(f.values(), f.dims, params);
   const FzDecompressed d = fz_decompress(c.bytes);
   EXPECT_TRUE(error_bounded(f.values(), d.data, c.stats.abs_eb))
       << dataset_name(ds) << " eb=" << rel_eb
-      << " quant=" << static_cast<int>(quant) << " fused=" << fused;
+      << " quant=" << static_cast<int>(quant);
   // V1 on unordered particle data at tight bounds turns almost every
   // residual into an 8-byte outlier and can EXPAND (the paper evaluates
   // HACC log-transformed for exactly this reason); V2 never expands that
@@ -230,8 +212,7 @@ std::vector<SweepCase> sweep_cases() {
     for (const double eb : {1e-2, 1e-4})
       for (const QuantVersion q :
            {QuantVersion::V1Original, QuantVersion::V2Optimized})
-        for (const bool fused : {false, true})
-          cases.push_back({ds, eb, q, fused});
+        cases.push_back({ds, eb, q});
   return cases;
 }
 
@@ -470,19 +451,6 @@ TEST(PipelineFormat, StructuredInspectReportsSectionLayout) {
   EXPECT_EQ(info.nonzero_blocks, c.stats.nonzero_blocks);
   EXPECT_EQ(info.saturated, c.stats.saturated);
   EXPECT_NEAR(info.ratio(), c.stats.ratio(), 1e-12);
-
-  // The deprecated legacy wrapper (kept one release for out-of-tree
-  // callers; docs/SERVICE.md has the migration table) reports the same
-  // identity fields.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const FzHeaderInfo legacy = fz_inspect(c.bytes);
-#pragma GCC diagnostic pop
-  EXPECT_EQ(legacy.dims, info.dims);
-  EXPECT_EQ(legacy.count, info.count);
-  EXPECT_EQ(legacy.quant, info.quant);
-  EXPECT_EQ(legacy.dtype_bytes, info.dtype_bytes);
-  EXPECT_EQ(legacy.abs_eb, info.abs_eb);
 }
 
 TEST(PipelineFormat, StructuredInspectCoversV1AndLogTransform) {

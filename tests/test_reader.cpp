@@ -18,6 +18,7 @@
 #include "reader/prefetcher.hpp"
 #include "reader/reader.hpp"
 #include "telemetry/telemetry.hpp"
+#include "test_data.hpp"
 
 namespace fz {
 namespace {
@@ -27,12 +28,10 @@ struct Fixture {
   std::vector<u8> container;
   std::vector<f32> full;  ///< reference: full-stream decompress
 
-  static Fixture make(Dims dims, size_t chunks, unsigned version = 2,
-                      u64 seed = 21) {
+  static Fixture make(Dims dims, size_t chunks, u64 seed = 21) {
     Fixture fx{generate_field(Dataset::Hurricane, dims, seed), {}, {}};
     ChunkedParams params;
     params.num_chunks = chunks;
-    params.container_version = version;
     fx.container = fz_compress_chunked(fx.field.values(), dims, params).bytes;
     fx.full = fz_decompress_chunked(fx.container).data;
     return fx;
@@ -91,14 +90,14 @@ TEST(Reader, SliceMatchesFullDecompressEveryConfig) {
 
 TEST(Reader, Rank1And2SlicesExact) {
   const Dims d1{4096};
-  const Fixture fx1 = Fixture::make(d1, 5, 2, 22);
+  const Fixture fx1 = Fixture::make(d1, 5, 22);
   Reader r1(fx1.container, ReaderOptions{.workers = 2});
   for (const Slice s : {Slice{.x = 0, .nx = 4096}, Slice{.x = 700, .nx = 901},
                         Slice{.x = 4095, .nx = 1}})
     expect_exact(r1.read(s), reference_slice(fx1.full, d1, s));
 
   const Dims d2{96, 70};
-  const Fixture fx2 = Fixture::make(d2, 4, 2, 23);
+  const Fixture fx2 = Fixture::make(d2, 4, 23);
   Reader r2(fx2.container, ReaderOptions{.workers = 2});
   for (const Slice s :
        {Slice{.nx = 96, .ny = 70}, Slice{.x = 10, .y = 17, .nx = 33, .ny = 41},
@@ -122,11 +121,14 @@ TEST(Reader, ReadFlatCrossesChunkBoundaries) {
 
 TEST(Reader, LegacyV1ContainerReads) {
   const Dims dims{32, 24, 10};
-  const Fixture fx = Fixture::make(dims, 4, /*version=*/1);
-  Reader reader(fx.container, ReaderOptions{.workers = 2});
+  const std::vector<u8> container =
+      test::load_test_data(test::kContainerV1Reader);
+  const std::vector<f32> full = fz_decompress_chunked(container).data;
+  Reader reader(container, ReaderOptions{.workers = 2});
   EXPECT_EQ(reader.info().version, 1u);
+  EXPECT_EQ(reader.info().dims, dims);
   const Slice s{.x = 5, .y = 3, .z = 2, .nx = 20, .ny = 18, .nz = 7};
-  expect_exact(reader.read(s), reference_slice(fx.full, dims, s));
+  expect_exact(reader.read(s), reference_slice(full, dims, s));
 }
 
 TEST(Reader, SingleFieldStreamWrapsAsOneChunk) {

@@ -7,6 +7,7 @@
 // and the fused tile pipeline against the unfused stage sequence.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <vector>
@@ -133,22 +134,47 @@ TEST(SimdPrequant, ExactTiesRoundAwayFromZeroAtEveryLevel) {
 }
 
 TEST(SimdPrequant, F32FastPathMatchesExactPathEverywhere) {
-  // The margin test must make the float-multiply fast path agree with the
-  // exact double path on *every* input, including values engineered to sit
-  // on or near half-integer boundaries and eb values whose f32 reciprocal
-  // is subnormal or infinite (forcing the all-exact fallback).
+  // The margin test must make the float-multiply fast path (the codec's
+  // f32 quantize) agree with the exact double path on *every* input:
+  // values engineered to sit on or near half-integer boundaries, ±0,
+  // subnormals, scaled magnitudes on both sides of the 2^21 fast-range
+  // cap, and eb values whose f32 reciprocal is subnormal or infinite
+  // (forcing the all-exact fallback).
   for (const double eb : {0.5, 1e-3, 0.37, 1e-7, 1e45, 1e-45}) {
     for (const size_t n : kSizes) {
       Rng rng(31 * n + 7);
       std::vector<f32> data(n);
       for (size_t i = 0; i < n; ++i) {
-        if (rng.below(3) == 0) {
-          // Land near a half-integer boundary after scaling.
-          const double k = static_cast<double>(rng.below(100000));
-          data[i] = static_cast<f32>((k + 0.5) * 2.0 * eb *
-                                     (1.0 + rng.uniform(-1e-7, 1e-7)));
-        } else {
-          data[i] = static_cast<f32>(rng.uniform(-3e6, 3e6) * 2.0 * eb);
+        const double sign = rng.below(2) == 0 ? 1.0 : -1.0;
+        switch (rng.below(6)) {
+          case 0:
+          case 1: {
+            // Land near a half-integer boundary after scaling.
+            const double k = static_cast<double>(rng.below(100000));
+            data[i] = static_cast<f32>((k + 0.5) * 2.0 * eb *
+                                       (1.0 + rng.uniform(-1e-7, 1e-7)));
+            break;
+          }
+          case 2:
+            data[i] = static_cast<f32>(sign * 0.0);
+            break;
+          case 3:
+            // A subnormal f32: nonzero mantissa, zero exponent.
+            data[i] = std::bit_cast<f32>(
+                static_cast<u32>(rng.below(0x7fffff) + 1) |
+                (sign < 0 ? 0x80000000u : 0u));
+            break;
+          case 4: {
+            // Scaled magnitude within a few units of the 2^21 cap, on
+            // integers, half-integers and in between.
+            const double x = 2097152.0 +
+                             static_cast<double>(rng.below(33)) * 0.25 - 4.0;
+            data[i] = static_cast<f32>(sign * x * 2.0 * eb);
+            break;
+          }
+          default:
+            data[i] = static_cast<f32>(rng.uniform(-3e6, 3e6) * 2.0 * eb);
+            break;
         }
       }
       std::vector<i64> want(n);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "core/chunked.hpp"
 #include "core/codec.hpp"
 #include "cudasim/launch.hpp"
@@ -205,6 +206,38 @@ TEST(Telemetry, ChunkedRecordsPerWorkerSpans) {
   EXPECT_EQ(counts.at("compress-chunked"), 1u);
   EXPECT_EQ(counts.at("compress"), 4u);  // one codec run per chunk
   (void)c;
+}
+
+TEST(Telemetry, ChunkedCapOfOneRunsEverySpanOnTheCaller) {
+  // max_parallelism = 1 bounds the strips inside each chunk and the range
+  // pass too, on compress and decompress alike.  Each 64x64x32 chunk is
+  // large enough for an unbounded codec to fork its strips on a multi-core
+  // box.
+  const Dims dims{64, 64, 64};
+  const std::vector<f32> data = wave(dims.count(), 13);
+  const size_t offloaded = offloaded_tasks();
+  Sink sink;
+  {
+    ScopedSink scope(&sink);  // the chunked decompress has no params sink
+    ChunkedParams params;  // a relative bound, so the range pass runs
+    params.num_chunks = 2;
+    params.max_parallelism = 1;
+    const ChunkedCompressed c = fz_compress_chunked(data, dims, params);
+    fz_decompress_chunked(c.bytes, 1);
+  }
+  EXPECT_EQ(offloaded_tasks(), offloaded);  // no task ran on a helper
+
+  const auto events = sink.snapshot();
+  const auto caller = std::find_if(
+      events.begin(), events.end(), [](const TraceEvent& ev) {
+        return std::string_view{ev.name} == "compress-chunked";
+      });
+  ASSERT_NE(caller, events.end());
+  for (const TraceEvent& ev : events) EXPECT_EQ(ev.tid, caller->tid) << ev.name;
+  // One strip per chunk each way.
+  const auto counts = span_counts(sink);
+  EXPECT_EQ(counts.at("fused-strip"), 2u);
+  EXPECT_EQ(counts.at("fused-decode-strip"), 2u);
 }
 
 TEST(Telemetry, PoolCountersTrackHitsAndMisses) {
